@@ -1,139 +1,33 @@
-//! `marion-bench` — the compile-time benchmark and selection
-//! cross-check harness.
+//! `marion-bench` — the codegen-quality matrix and its regression
+//! gate.
 //!
 //! Subcommands:
 //!
-//! * `compile [--smoke] [--iters K] [--out PATH]` — times end-to-end
-//!   compilation of the multi-function Livermore and generated suites
-//!   on every bundled machine, comparing serial brute-force selection,
-//!   serial indexed selection, and `jobs=4` parallel compilation, and
-//!   writes the result trajectory to `BENCH_compile.json`
-//!   (median-of-K wall times, functions/sec, per-phase span split).
-//! * `crosscheck` — asserts that indexed vs brute-force selection and
-//!   memoized vs unmemoized matching all produce identical programs
-//!   (same template choices, same stats, byte-identical assembly) for
-//!   every bundled machine × workload; exits non-zero on the first
-//!   divergence.
-//! * `diff OLD.json NEW.json [--tolerance PCT]` — the perf-regression
-//!   gate: compares two `BENCH_*.json` files metric by metric
-//!   (`*_ms`/`*_cycles` higher-is-worse, `per_sec`/`speedup`
-//!   lower-is-worse),
-//!   prints per-phase deltas, and exits 1 when any metric regresses
-//!   past the tolerance (default 10%), 2 on unreadable input. Run in
-//!   CI against the committed baseline.
-//! * `serve [--smoke] [--out PATH]` — measures cold vs warm
-//!   throughput of the compile service on the combined Livermore
-//!   workload: every machine × strategy is requested twice through
-//!   the `marion-serve` stream machinery against one shared
-//!   content-addressed cache, and the per-request wall times land in
-//!   `BENCH_serve.json` with hit/miss counters. A third warm pass
-//!   runs with full observability on (request tracing, tail
-//!   sampling, access log) and records the overhead honestly as
-//!   `observability_overhead_pct`.
 //! * `quality [--smoke] [--out PATH]` — the codegen-quality matrix:
 //!   every bundled machine × strategy × workload compiled once,
 //!   simulated, and condensed into one `ProgramQuality` row each
 //!   (sim vs estimated cycles, critical-path lower bound, stall
 //!   breakdown, issue-slot utilization, spill/nop/delay-slot counts)
-//!   in `BENCH_quality.json`. Cycle counts are deterministic, so CI
-//!   diffs the committed matrix with `--tolerance 0`: any regression
-//!   in codegen quality fails the build.
+//!   in `BENCH_quality.json`.
+//! * `diff OLD.json NEW.json` — the cycle-regression gate: compares
+//!   two quality matrices run by run, prints every `*_cycles` delta,
+//!   and exits 1 when any cycle count grew, 2 on unreadable input.
+//!   Cycle counts are deterministic, so CI diffs a fresh sweep against
+//!   the committed matrix: any regression in codegen quality fails the
+//!   build.
+//!
+//! Compile-time and serve performance are measured by the separate
+//! `perfbench` benchmark (see `BENCHMARK.json`).
 
-use marion_bench::serve::{run_stream, ServeConfig, Service};
-use marion_core::{CompileOptions, Compiler, StrategyKind};
-use marion_ir::Module;
-use marion_machines::MachineSpec;
-use marion_trace::{Record, TraceConfig};
-use std::fmt::Write as _;
-use std::num::NonZeroUsize;
-use std::time::Instant;
-
-const PHASES: [&str; 5] = ["glue", "select", "strategy", "emit", "fill_delay_slots"];
-
-/// Strategy-interior micro-spans whose self time (total minus nested
-/// children) lands in `BENCH_compile.json` as `subphase_self_ms`, so
-/// the perf gate sees where inside the scheduler and allocator the
-/// time moved, not just the phase total.
-const SUBPHASES: [&str; 15] = [
-    "dag_build",
-    "prep",
-    "ready_scan",
-    "group_scan",
-    "pick_place",
-    "advance",
-    "finalize",
-    "ig_build",
-    "simplify",
-    "select_colors",
-    "evict_scan",
-    "spill_rewrite",
-    "phys_rewrite",
-    "sched_metrics",
-    "reorder",
-];
-
-/// Subphase self-times below this floor are omitted from the JSON:
-/// sub-50µs medians are timer noise, and gating on their percent
-/// deltas would flake. Presence asymmetry between two files is a diff
-/// warning, never a regression.
-const SUBPHASE_FLOOR_MS: f64 = 0.05;
+use marion_core::StrategyKind;
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let cmd = args.first().map(String::as_str).unwrap_or("");
     match cmd {
-        "compile" => {
-            let mut smoke = false;
-            let mut iters: usize = 5;
-            let mut out = "BENCH_compile.json".to_string();
-            let mut i = 1;
-            while i < args.len() {
-                match args[i].as_str() {
-                    "--smoke" => smoke = true,
-                    "--iters" => {
-                        i += 1;
-                        iters = args[i].parse().expect("--iters takes a number");
-                    }
-                    "--out" => {
-                        i += 1;
-                        out = args[i].clone();
-                    }
-                    other => {
-                        eprintln!("unknown flag `{other}`");
-                        std::process::exit(2);
-                    }
-                }
-                i += 1;
-            }
-            if smoke {
-                iters = 1;
-            }
-            bench_compile(iters, &out);
-        }
-        "crosscheck" => crosscheck(),
         "diff" => {
-            let mut tolerance = 10.0f64;
-            let mut files: Vec<String> = Vec::new();
-            let mut i = 1;
-            while i < args.len() {
-                match args[i].as_str() {
-                    "--tolerance" => {
-                        i += 1;
-                        tolerance = args.get(i).and_then(|v| v.parse().ok()).unwrap_or_else(|| {
-                            eprintln!("--tolerance takes a percentage");
-                            std::process::exit(2);
-                        });
-                    }
-                    other if other.starts_with('-') => {
-                        eprintln!("unknown flag `{other}`");
-                        std::process::exit(2);
-                    }
-                    path => files.push(path.to_string()),
-                }
-                i += 1;
-            }
-            let [old_path, new_path] = files.as_slice() else {
-                eprintln!("usage: marion-bench diff OLD.json NEW.json [--tolerance PCT]");
+            let [old_path, new_path] = &args[1..] else {
+                eprintln!("usage: marion-bench diff OLD.json NEW.json");
                 std::process::exit(2);
             };
             let read = |path: &str| {
@@ -143,7 +37,7 @@ fn main() {
                 })
             };
             let (old_text, new_text) = (read(old_path), read(new_path));
-            match marion_bench::diff::run_diff(&old_text, &new_text, tolerance) {
+            match marion_bench::diff::run_diff(&old_text, &new_text) {
                 Ok((report, code)) => {
                     print!("{report}");
                     std::process::exit(code);
@@ -153,26 +47,6 @@ fn main() {
                     std::process::exit(2);
                 }
             }
-        }
-        "serve" => {
-            let mut smoke = false;
-            let mut out = "BENCH_serve.json".to_string();
-            let mut i = 1;
-            while i < args.len() {
-                match args[i].as_str() {
-                    "--smoke" => smoke = true,
-                    "--out" => {
-                        i += 1;
-                        out = args[i].clone();
-                    }
-                    other => {
-                        eprintln!("unknown flag `{other}`");
-                        std::process::exit(2);
-                    }
-                }
-                i += 1;
-            }
-            bench_serve(smoke, &out);
         }
         "quality" => {
             let mut smoke = false;
@@ -203,472 +77,11 @@ fn main() {
         }
         _ => {
             eprintln!(
-                "usage: marion-bench <compile [--smoke] [--iters K] [--out PATH] \
-                 | crosscheck | serve [--smoke] [--out PATH] \
-                 | quality [--smoke] [--out PATH] \
-                 | diff OLD.json NEW.json [--tolerance PCT]>"
+                "usage: marion-bench <quality [--smoke] [--out PATH] | diff OLD.json NEW.json>"
             );
             std::process::exit(2);
         }
     }
-}
-
-fn options(jobs: usize, indexed: bool) -> CompileOptions {
-    CompileOptions {
-        jobs: NonZeroUsize::new(jobs),
-        indexed_select: indexed,
-        ..CompileOptions::default()
-    }
-}
-
-/// Median wall-clock milliseconds over `iters` compilations.
-fn time_compile(spec: &MachineSpec, module: &Module, opts: CompileOptions, iters: usize) -> f64 {
-    let compiler = Compiler::with_options(
-        spec.machine.clone(),
-        spec.escapes.clone(),
-        StrategyKind::Ips,
-        opts,
-    );
-    let mut times: Vec<f64> = (0..iters)
-        .map(|_| {
-            let start = Instant::now();
-            compiler
-                .compile_module(module)
-                .unwrap_or_else(|e| panic!("{}: {e}", spec.machine.name()));
-            start.elapsed().as_secs_f64() * 1e3
-        })
-        .collect();
-    times.sort_by(|a, b| a.partial_cmp(b).unwrap());
-    times[times.len() / 2]
-}
-
-/// Per-phase wall-time split and per-subphase self-time split
-/// (milliseconds), both medians over `iters` traced runs. Phases come
-/// from their trace spans summed per run; subphases from the profile
-/// trie (`Record::Prof`), self time = total minus nested children,
-/// summed across every trie path ending in the subphase name.
-/// Per-phase and per-subphase `(name, milliseconds)` splits.
-type PhaseSplits = (Vec<(&'static str, f64)>, Vec<(&'static str, f64)>);
-
-fn phase_split(spec: &MachineSpec, module: &Module, indexed: bool, iters: usize) -> PhaseSplits {
-    let opts = CompileOptions {
-        trace: Some(TraceConfig::default()),
-        ..options(1, indexed)
-    };
-    let compiler = Compiler::with_options(
-        spec.machine.clone(),
-        spec.escapes.clone(),
-        StrategyKind::Ips,
-        opts,
-    );
-    let mut per_phase: Vec<Vec<f64>> = vec![Vec::new(); PHASES.len()];
-    let mut per_sub: Vec<Vec<f64>> = vec![Vec::new(); SUBPHASES.len()];
-    for _ in 0..iters {
-        let program = compiler
-            .compile_module(module)
-            .unwrap_or_else(|e| panic!("{}: {e}", spec.machine.name()));
-        let trace = program.trace.expect("trace was requested");
-        for (pi, phase) in PHASES.iter().enumerate() {
-            let total_us: u64 = trace
-                .spans_named(phase)
-                .iter()
-                .filter_map(|r| match r {
-                    Record::Span { dur_us, .. } => Some(*dur_us),
-                    _ => None,
-                })
-                .sum();
-            per_phase[pi].push(total_us as f64 / 1e3);
-        }
-        let mut self_us = vec![0u64; SUBPHASES.len()];
-        for r in &trace.records {
-            if let Record::Prof {
-                path,
-                total_us,
-                child_us,
-                ..
-            } = r
-            {
-                let leaf = path.rsplit('/').next().unwrap_or(path);
-                if let Some(si) = SUBPHASES.iter().position(|s| *s == leaf) {
-                    self_us[si] += total_us.saturating_sub(*child_us);
-                }
-            }
-        }
-        for (si, us) in self_us.into_iter().enumerate() {
-            per_sub[si].push(us as f64 / 1e3);
-        }
-    }
-    let median = |names: &[&'static str], mut cols: Vec<Vec<f64>>| {
-        names
-            .iter()
-            .zip(cols.iter_mut())
-            .map(|(name, times)| {
-                times.sort_by(|a, b| a.partial_cmp(b).unwrap());
-                (*name, times[times.len() / 2])
-            })
-            .collect::<Vec<_>>()
-    };
-    (
-        median(&PHASES[..], per_phase),
-        median(&SUBPHASES[..], per_sub),
-    )
-}
-
-struct Row {
-    machine: String,
-    workload: &'static str,
-    functions: usize,
-    serial_brute_ms: f64,
-    serial_indexed_ms: f64,
-    parallel4_ms: f64,
-    /// Per-phase split of a serial indexed run (trace spans).
-    phases: Vec<(&'static str, f64)>,
-    /// Per-subphase self-time of the same run (profile trie).
-    subphases: Vec<(&'static str, f64)>,
-    /// The select phase alone, brute-force matching (trace spans).
-    brute_select_ms: f64,
-}
-
-impl Row {
-    fn indexed_select_ms(&self) -> f64 {
-        self.phases
-            .iter()
-            .find(|(p, _)| *p == "select")
-            .map(|(_, ms)| *ms)
-            .unwrap_or(0.0)
-    }
-    /// Select-phase speedup from paired trace spans — end-to-end wall
-    /// time is dominated by scheduling and allocation, so the phase
-    /// spans are the signal.
-    fn selection_speedup(&self) -> f64 {
-        self.brute_select_ms / self.indexed_select_ms()
-    }
-    fn parallel_speedup(&self) -> f64 {
-        self.serial_indexed_ms / self.parallel4_ms
-    }
-    fn functions_per_sec(&self) -> f64 {
-        self.functions as f64 / (self.serial_indexed_ms / 1e3)
-    }
-}
-
-fn bench_compile(iters: usize, out: &str) {
-    let machines = marion_machines::load_extended();
-    let workloads: Vec<(&'static str, Module)> = vec![
-        (
-            "livermore_combined",
-            marion_workloads::multi::combined_livermore(),
-        ),
-        (
-            "generated_combined",
-            marion_workloads::multi::combined_generated(12, 42),
-        ),
-    ];
-    let cores = std::thread::available_parallelism()
-        .map(NonZeroUsize::get)
-        .unwrap_or(1);
-
-    let mut rows = Vec::new();
-    for spec in &machines {
-        for (name, module) in &workloads {
-            let serial_brute_ms = time_compile(spec, module, options(1, false), iters);
-            let serial_indexed_ms = time_compile(spec, module, options(1, true), iters);
-            let parallel4_ms = time_compile(spec, module, options(4, true), iters);
-            let (phases, subphases) = phase_split(spec, module, true, iters);
-            let brute_select_ms = phase_split(spec, module, false, iters)
-                .0
-                .iter()
-                .find(|(p, _)| *p == "select")
-                .map(|(_, ms)| *ms)
-                .unwrap_or(0.0);
-            rows.push(Row {
-                machine: spec.machine.name().to_owned(),
-                workload: name,
-                functions: module.funcs.len(),
-                serial_brute_ms,
-                serial_indexed_ms,
-                parallel4_ms,
-                phases,
-                subphases,
-                brute_select_ms,
-            });
-        }
-    }
-
-    // Human-readable table.
-    println!(
-        "compile bench  (median of {iters}, strategy ips, {cores} core{} available)",
-        if cores == 1 { "" } else { "s" }
-    );
-    println!(
-        "{:<8} {:<20} {:>6} {:>10} {:>10} {:>10} {:>9} {:>9} {:>6} {:>6} {:>8}",
-        "machine",
-        "workload",
-        "funcs",
-        "brute ms",
-        "idx ms",
-        "j=4 ms",
-        "sel-b ms",
-        "sel-i ms",
-        "sel x",
-        "par x",
-        "funcs/s"
-    );
-    for r in &rows {
-        println!(
-            "{:<8} {:<20} {:>6} {:>10.2} {:>10.2} {:>10.2} {:>9.2} {:>9.2} {:>6.2} {:>6.2} {:>8.0}",
-            r.machine,
-            r.workload,
-            r.functions,
-            r.serial_brute_ms,
-            r.serial_indexed_ms,
-            r.parallel4_ms,
-            r.brute_select_ms,
-            r.indexed_select_ms(),
-            r.selection_speedup(),
-            r.parallel_speedup(),
-            r.functions_per_sec()
-        );
-    }
-    let sel = marion_bench::geomean(&rows.iter().map(Row::selection_speedup).collect::<Vec<_>>());
-    let par = marion_bench::geomean(&rows.iter().map(Row::parallel_speedup).collect::<Vec<_>>());
-    println!("geomean select-phase speedup (indexed vs brute): {sel:.2}x");
-    println!("geomean parallel speedup (jobs=4 vs jobs=1, indexed): {par:.2}x");
-
-    let json = render_json(iters, cores, &rows, sel, par);
-    std::fs::write(out, json).unwrap_or_else(|e| panic!("writing {out}: {e}"));
-    println!("wrote {out}");
-}
-
-fn render_json(iters: usize, cores: usize, rows: &[Row], sel: f64, par: f64) -> String {
-    let mut s = String::new();
-    s.push_str("{\n");
-    let _ = writeln!(s, "  \"bench\": \"compile\",");
-    let _ = writeln!(s, "  \"strategy\": \"ips\",");
-    let _ = writeln!(s, "  \"iterations\": {iters},");
-    let _ = writeln!(s, "  \"available_parallelism\": {cores},");
-    let _ = writeln!(s, "  \"geomean_select_phase_speedup\": {sel:.4},");
-    let _ = writeln!(s, "  \"geomean_parallel_speedup_jobs4\": {par:.4},");
-    s.push_str("  \"runs\": [\n");
-    for (i, r) in rows.iter().enumerate() {
-        s.push_str("    {\n");
-        let _ = writeln!(s, "      \"machine\": \"{}\",", r.machine);
-        let _ = writeln!(s, "      \"workload\": \"{}\",", r.workload);
-        let _ = writeln!(s, "      \"functions\": {},", r.functions);
-        let _ = writeln!(s, "      \"serial_brute_ms\": {:.4},", r.serial_brute_ms);
-        let _ = writeln!(
-            s,
-            "      \"serial_indexed_ms\": {:.4},",
-            r.serial_indexed_ms
-        );
-        let _ = writeln!(s, "      \"parallel4_indexed_ms\": {:.4},", r.parallel4_ms);
-        let _ = writeln!(s, "      \"brute_select_ms\": {:.4},", r.brute_select_ms);
-        let _ = writeln!(
-            s,
-            "      \"indexed_select_ms\": {:.4},",
-            r.indexed_select_ms()
-        );
-        let _ = writeln!(
-            s,
-            "      \"selection_speedup\": {:.4},",
-            r.selection_speedup()
-        );
-        let _ = writeln!(
-            s,
-            "      \"parallel_speedup_jobs4\": {:.4},",
-            r.parallel_speedup()
-        );
-        let _ = writeln!(
-            s,
-            "      \"functions_per_sec\": {:.2},",
-            r.functions_per_sec()
-        );
-        s.push_str("      \"phase_ms\": {");
-        for (j, (phase, ms)) in r.phases.iter().enumerate() {
-            let _ = write!(s, "\"{phase}\": {ms:.4}");
-            if j + 1 < r.phases.len() {
-                s.push_str(", ");
-            }
-        }
-        s.push_str("},\n");
-        // Self-times under the noise floor are omitted (see
-        // SUBPHASE_FLOOR_MS); the diff tool treats one-sided keys as
-        // warnings, not regressions.
-        s.push_str("      \"subphase_self_ms\": {");
-        let kept: Vec<&(&str, f64)> = r
-            .subphases
-            .iter()
-            .filter(|(_, ms)| *ms >= SUBPHASE_FLOOR_MS)
-            .collect();
-        for (j, (sub, ms)) in kept.iter().enumerate() {
-            let _ = write!(s, "\"{sub}\": {ms:.4}");
-            if j + 1 < kept.len() {
-                s.push_str(", ");
-            }
-        }
-        s.push_str("}\n");
-        s.push_str(if i + 1 < rows.len() {
-            "    },\n"
-        } else {
-            "    }\n"
-        });
-    }
-    s.push_str("  ]\n}\n");
-    s
-}
-
-/// Cold vs warm throughput of the compile service: the same
-/// machine × strategy requests over the combined Livermore workload,
-/// issued twice through the serve stream against one shared cache.
-fn bench_serve(smoke: bool, out: &str) {
-    let machines: Vec<&str> = if smoke {
-        vec!["toyp", "r2000"]
-    } else {
-        marion_machines::EXTENDED.to_vec()
-    };
-    let strategies = [
-        StrategyKind::Postpass,
-        StrategyKind::Ips,
-        StrategyKind::Rase,
-    ];
-    // Baseline passes run with observability off (no request tracing,
-    // no access log) so cold/warm numbers measure the compile service
-    // itself; the observability cost is measured separately below.
-    let service = Service::new(&ServeConfig {
-        exemplars: false,
-        ..ServeConfig::default()
-    })
-    .expect("in-memory service");
-    let mut requests = String::new();
-    let mut pairs = Vec::new();
-    for (i, machine) in machines.iter().enumerate() {
-        for (j, strategy) in strategies.iter().enumerate() {
-            let _ = writeln!(
-                requests,
-                "{{\"id\":{},\"machine\":\"{machine}\",\"strategy\":\"{}\",\"workload\":\"livermore\"}}",
-                i * strategies.len() + j,
-                strategy.name()
-            );
-            pairs.push((machine.to_string(), strategy.name()));
-        }
-    }
-
-    // One worker and one pass per temperature: per-request wall times
-    // then sum cleanly, with no queue or scheduler noise between them.
-    let pass = |service: &Service, label: &str| -> Vec<(i64, i64, i64)> {
-        let mut output: Vec<u8> = Vec::new();
-        let stats = run_stream(service, requests.as_bytes(), &mut output, 1, 8)
-            .unwrap_or_else(|e| panic!("{label} pass: {e}"));
-        assert_eq!(stats.failures, 0, "{label} pass had failures");
-        String::from_utf8(output)
-            .unwrap()
-            .lines()
-            .map(|line| {
-                let fields = marion_trace::json::parse_flat(line).expect("response json");
-                let get = |name: &str| {
-                    fields
-                        .iter()
-                        .find(|(k, _)| k == name)
-                        .and_then(|(_, v)| v.as_int())
-                        .unwrap_or_else(|| panic!("{label} response missing {name}"))
-                };
-                (get("wall_us"), get("cache_hits"), get("cache_misses"))
-            })
-            .collect()
-    };
-    let cold = pass(&service, "cold");
-    let warm = pass(&service, "warm");
-    assert_eq!(cold.len(), pairs.len());
-    assert_eq!(warm.len(), pairs.len());
-
-    println!("serve bench  (combined Livermore, cold vs warm through the compile service)");
-    println!(
-        "{:<8} {:<9} {:>10} {:>10} {:>8} {:>10} {:>10}",
-        "machine", "strategy", "cold ms", "warm ms", "speedup", "cold h/m", "warm h/m"
-    );
-    let mut speedups = Vec::new();
-    for (i, (machine, strategy)) in pairs.iter().enumerate() {
-        let (cw, ch, cm) = cold[i];
-        let (ww, wh, wm) = warm[i];
-        let speedup = cw as f64 / (ww.max(1)) as f64;
-        speedups.push(speedup);
-        println!(
-            "{:<8} {:<9} {:>10.2} {:>10.2} {:>7.1}x {:>10} {:>10}",
-            machine,
-            strategy,
-            cw as f64 / 1e3,
-            ww as f64 / 1e3,
-            speedup,
-            format!("{ch}/{cm}"),
-            format!("{wh}/{wm}")
-        );
-    }
-    let geomean = marion_bench::geomean(&speedups);
-    let cold_total: i64 = cold.iter().map(|(w, _, _)| w).sum();
-    let warm_total: i64 = warm.iter().map(|(w, _, _)| w).sum();
-    let total_speedup = cold_total as f64 / warm_total.max(1) as f64;
-    println!("geomean warm speedup: {geomean:.1}x   total: {total_speedup:.1}x");
-
-    // Honesty pass: the same warm requests through a service with full
-    // observability (request tracing, tail sampling, access log) so
-    // the recorded numbers include what the features cost, not just
-    // what they provide. The observed service is primed cold first;
-    // only its warm pass is compared against the baseline warm pass.
-    let log_path = std::env::temp_dir().join(format!("marion-bench-access-{}", std::process::id()));
-    let observed_service = Service::new(&ServeConfig {
-        access_log: Some(log_path.clone()),
-        ..ServeConfig::default()
-    })
-    .expect("observed service");
-    let _ = pass(&observed_service, "observed-cold");
-    let observed = pass(&observed_service, "observed-warm");
-    let observed_total: i64 = observed.iter().map(|(w, _, _)| w).sum();
-    let access_log_bytes = std::fs::metadata(&log_path).map(|m| m.len()).unwrap_or(0);
-    std::fs::remove_file(&log_path).ok();
-    let overhead_pct =
-        (observed_total as f64 - warm_total as f64) * 100.0 / warm_total.max(1) as f64;
-    println!(
-        "observability overhead (warm, access log + tail sampling on): \
-         {:.2} ms vs {:.2} ms baseline ({overhead_pct:+.1}%), {access_log_bytes} access-log bytes",
-        observed_total as f64 / 1e3,
-        warm_total as f64 / 1e3,
-    );
-
-    let mut s = String::new();
-    s.push_str("{\n");
-    let _ = writeln!(s, "  \"bench\": \"serve\",");
-    let _ = writeln!(s, "  \"workload\": \"livermore_combined\",");
-    let _ = writeln!(s, "  \"smoke\": {smoke},");
-    let _ = writeln!(s, "  \"geomean_warm_speedup\": {geomean:.4},");
-    let _ = writeln!(s, "  \"total_warm_speedup\": {total_speedup:.4},");
-    let _ = writeln!(s, "  \"cold_total_ms\": {:.4},", cold_total as f64 / 1e3);
-    let _ = writeln!(s, "  \"warm_total_ms\": {:.4},", warm_total as f64 / 1e3);
-    let _ = writeln!(
-        s,
-        "  \"warm_observed_total_ms\": {:.4},",
-        observed_total as f64 / 1e3
-    );
-    let _ = writeln!(s, "  \"observability_overhead_pct\": {overhead_pct:.4},");
-    let _ = writeln!(s, "  \"access_log_bytes\": {access_log_bytes},");
-    s.push_str("  \"runs\": [\n");
-    for (i, (machine, strategy)) in pairs.iter().enumerate() {
-        let (cw, ch, cm) = cold[i];
-        let (ww, wh, wm) = warm[i];
-        s.push_str("    {");
-        let _ = write!(
-            s,
-            "\"machine\": \"{machine}\", \"strategy\": \"{strategy}\", \
-             \"cold_ms\": {:.4}, \"warm_ms\": {:.4}, \"speedup\": {:.4}, \
-             \"cold_hits\": {ch}, \"cold_misses\": {cm}, \
-             \"warm_hits\": {wh}, \"warm_misses\": {wm}",
-            cw as f64 / 1e3,
-            ww as f64 / 1e3,
-            cw as f64 / (ww.max(1)) as f64
-        );
-        s.push_str(if i + 1 < pairs.len() { "},\n" } else { "}\n" });
-    }
-    s.push_str("  ]\n}\n");
-    std::fs::write(out, s).unwrap_or_else(|e| panic!("writing {out}: {e}"));
-    println!("wrote {out}");
 }
 
 /// The codegen-quality matrix: machines × strategies × workloads,
@@ -725,71 +138,4 @@ fn bench_quality(smoke: bool, out: &str) {
     let json = marion_bench::quality::render_json(smoke, machines.len(), workloads.len(), &runs);
     std::fs::write(out, json).unwrap_or_else(|e| panic!("writing {out}: {e}"));
     println!("wrote {out}");
-}
-
-/// Compiles every bundled machine × workload under each matcher
-/// configuration — indexed vs brute-force selection, memoized vs
-/// unmemoized matching — and asserts the results are identical.
-fn crosscheck() {
-    let machines = marion_machines::load_extended();
-    let mut workloads: Vec<(String, Module)> = marion_workloads::livermore::kernels()
-        .iter()
-        .chain(marion_workloads::suite::programs().iter())
-        .map(|w| (w.name.clone(), w.module()))
-        .collect();
-    workloads.push((
-        "livermore_combined".into(),
-        marion_workloads::multi::combined_livermore(),
-    ));
-    workloads.push((
-        "generated_combined".into(),
-        marion_workloads::multi::combined_generated(12, 42),
-    ));
-
-    let mut checked = 0usize;
-    for spec in &machines {
-        for (name, module) in &workloads {
-            for strategy in [
-                StrategyKind::Postpass,
-                StrategyKind::Ips,
-                StrategyKind::Rase,
-            ] {
-                let compile = |indexed: bool, memo: bool| {
-                    Compiler::with_options(
-                        spec.machine.clone(),
-                        spec.escapes.clone(),
-                        strategy,
-                        CompileOptions {
-                            memo_select: memo,
-                            ..options(1, indexed)
-                        },
-                    )
-                    .compile_module(module)
-                    .unwrap_or_else(|e| panic!("{} on {}: {e}", name, spec.machine.name()))
-                };
-                let baseline = compile(true, true);
-                for (label, variant) in [
-                    ("brute-force selection", compile(false, true)),
-                    ("unmemoized matching", compile(true, false)),
-                ] {
-                    if baseline.render(&spec.machine) != variant.render(&spec.machine)
-                        || baseline.stats != variant.stats
-                    {
-                        eprintln!(
-                            "CROSSCHECK FAILED: {} on {} ({strategy:?}): {label} diverges \
-                             from the indexed memoized baseline",
-                            name,
-                            spec.machine.name()
-                        );
-                        std::process::exit(1);
-                    }
-                }
-                checked += 1;
-            }
-        }
-    }
-    println!(
-        "crosscheck ok: {checked} machine x workload x strategy combinations, \
-         indexed == brute-force, memoized == unmemoized"
-    );
 }

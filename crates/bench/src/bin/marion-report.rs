@@ -61,7 +61,7 @@ use std::collections::{BTreeMap, BTreeSet};
 fn usage() -> ! {
     eprintln!("usage: marion-report TRACE.jsonl [MORE.jsonl ...]");
     eprintln!("       marion-report --demo [--jsonl OUT.jsonl]");
-    eprintln!("       marion-report --html [--out REPORT.html] [--serve METRICS.json] [--bench-diff OLD.json NEW.json] [--retarget RETARGET.json] [--quality QUALITY.json] [--demo | TRACE.jsonl ...]");
+    eprintln!("       marion-report --html [--out REPORT.html] [--serve METRICS.json] [--retarget RETARGET.json] [--quality QUALITY.json] [--demo | TRACE.jsonl ...]");
     eprintln!("       marion-report --check-slo METRICS.jsonl       exit 1 if any SLO is violated");
     eprintln!("       marion-report --dashboard RESP.jsonl [--out DASH.html]");
     std::process::exit(2);
@@ -170,7 +170,6 @@ fn main() {
     let mut serve_path: Option<String> = None;
     let mut check_slo_path: Option<String> = None;
     let mut dashboard_path: Option<String> = None;
-    let mut bench_diff: Option<(String, String)> = None;
     let mut retarget_path: Option<String> = None;
     let mut quality_path: Option<String> = None;
     let mut traces: Vec<String> = Vec::new();
@@ -190,11 +189,6 @@ fn main() {
             "--serve" => serve_path = Some(value("--serve")),
             "--check-slo" => check_slo_path = Some(value("--check-slo")),
             "--dashboard" => dashboard_path = Some(value("--dashboard")),
-            "--bench-diff" => {
-                let old = value("--bench-diff");
-                let new = value("--bench-diff");
-                bench_diff = Some((old, new));
-            }
             "--retarget" => retarget_path = Some(value("--retarget")),
             "--quality" => quality_path = Some(value("--quality")),
             "--help" | "-h" => usage(),
@@ -211,17 +205,12 @@ fn main() {
     if let Some(path) = dashboard_path {
         extract_dashboard(&path, html_out.as_deref());
     }
-    if !demo_mode
-        && traces.is_empty()
-        && bench_diff.is_none()
-        && retarget_path.is_none()
-        && quality_path.is_none()
-    {
+    if !demo_mode && traces.is_empty() && retarget_path.is_none() && quality_path.is_none() {
         usage();
     }
     let data = if !demo_mode && traces.is_empty() {
-        // `--bench-diff` alone: a page holding just the before/after
-        // subphase table, no trace-derived sections.
+        // `--retarget`/`--quality` alone: a page holding just those
+        // sections, no trace-derived ones.
         TraceData::default()
     } else if demo_mode {
         let data = demo();
@@ -280,20 +269,6 @@ fn main() {
     } else {
         Vec::new()
     };
-    // `--bench-diff OLD.json NEW.json`: a before/after table of
-    // strategy-subphase self-times from two BENCH_compile.json files.
-    if let Some((old_path, new_path)) = &bench_diff {
-        let table =
-            marion_bench::html::subphase_diff_table(&read_or_die(old_path), &read_or_die(new_path))
-                .unwrap_or_else(|e| {
-                    eprintln!("marion-report: --bench-diff: {e}");
-                    std::process::exit(2);
-                });
-        extra_svg.push((
-            "Strategy subphase self-time \u{2014} before vs after".to_string(),
-            table,
-        ));
-    }
     // `--retarget BENCH_retarget.json`: the marion-fuzz audit-coverage
     // summary (generated machines, differential-audit verdicts).
     if let Some(path) = &retarget_path {

@@ -6,7 +6,9 @@
 //! strategy-dependent portion per strategy (SD). The same
 //! decomposition maps onto this repository's crates and modules; the
 //! shape to expect is the paper's: TD (per machine) and TSI dominate,
-//! RASE > IPS > Postpass among the strategies.
+//! RASE > IPS > Postpass among the strategies. The last row counts the
+//! whole repository: every crate plus the root `src/`, `tests/` and
+//! `examples/`.
 
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -92,5 +94,13 @@ fn main() {
         "{:44} {:>6}",
         "Simulator (the paper used real hardware)",
         loc_dir(&root.join("crates/sim/src"))
+    );
+    let total: usize = ["crates", "src", "tests", "examples"]
+        .iter()
+        .map(|d| loc_dir(&root.join(d)))
+        .sum();
+    println!(
+        "{:44} {:>6}",
+        "Total: every crate, src/, tests/, examples/", total
     );
 }

@@ -1,21 +1,18 @@
-//! `marion-bench diff` — the perf-regression comparator.
+//! `marion-bench diff` — the cycle-regression comparator.
 //!
-//! Compares two `BENCH_*.json` files (the baseline committed to the
-//! repo and a freshly measured one) metric by metric and decides
-//! whether the new numbers regress past a tolerance. The bench files
-//! nest (`runs[]` arrays of per-machine objects with a `phase_ms`
-//! map), which the trace crate's flat-object parser refuses by
-//! design, so this module carries its own small recursive JSON reader
-//! — still zero dependencies.
+//! Compares two `BENCH_quality.json` files (the baseline committed to
+//! the repo and a fresh sweep) metric by metric. The bench files nest
+//! (`runs[]` arrays of per-run objects), which the trace crate's
+//! flat-object parser refuses by design, so this module carries its
+//! own small recursive JSON reader — still zero dependencies.
 //!
-//! Direction is inferred from the metric name: `*_ms` / `*_us` are
-//! wall-clock times and `*_cycles` are simulated schedule lengths
-//! (bigger is worse); names containing `per_sec` or `speedup` are
-//! rates (smaller is worse). Everything else
-//! (`functions`, `iterations`, hit counts…) is context, compared for
-//! identity-matching only, never gated. Array elements are matched by
-//! their string-valued identity fields (`machine`, `workload`,
-//! `strategy`…), so reordering runs between files is not a diff.
+//! Only `*_cycles` values are gated. The simulator is deterministic,
+//! so any growth in one is a regression: there is no tolerance.
+//! Everything else (stall columns, drift, spill counts…) is context,
+//! never gated. Array elements are matched by their string-valued
+//! identity fields (`machine`, `strategy`, `workload`…), so
+//! reordering runs between files is not a diff, and a regression is
+//! reported by the path of the kernel that moved.
 
 use std::fmt::Write as _;
 
@@ -247,37 +244,21 @@ impl P<'_> {
     }
 }
 
-/// Which way a metric regresses, by name.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Direction {
-    /// Wall-clock time: new > old is worse.
-    HigherWorse,
-    /// Throughput/speedup rate: new < old is worse.
-    LowerWorse,
-    /// Context only — never gated.
-    Info,
-}
-
-fn direction(key: &str) -> Direction {
-    if key.contains("per_sec") || key.contains("speedup") {
-        Direction::LowerWorse
-    } else if key.ends_with("_ms") || key.ends_with("_us") || key.ends_with("_cycles") {
-        Direction::HigherWorse
-    } else {
-        Direction::Info
-    }
+/// Gated metrics: simulated or estimated schedule lengths.
+fn gated(key: &str) -> bool {
+    key.ends_with("_cycles")
 }
 
 /// One compared metric.
 #[derive(Debug, Clone)]
 pub struct Delta {
-    /// Slash-joined location (`runs/r2000/livermore_combined/phase_ms/strategy`).
+    /// Slash-joined location (`runs/r2000/IPS/LL3/sim_cycles`).
     pub path: String,
     pub old: f64,
     pub new: f64,
     /// Signed percent change, `(new − old) / old × 100`.
     pub pct: f64,
-    /// Past tolerance in the metric's worse direction.
+    /// `new > old`.
     pub regressed: bool,
 }
 
@@ -296,13 +277,9 @@ impl Report {
 
     /// Human-readable rendering: every gated metric with its delta,
     /// regressions flagged, warnings at the end.
-    pub fn render(&self, tolerance_pct: f64) -> String {
+    pub fn render(&self) -> String {
         let mut out = String::new();
-        let _ = writeln!(
-            out,
-            "{} metric(s) compared, tolerance {tolerance_pct}%",
-            self.deltas.len()
-        );
+        let _ = writeln!(out, "{} metric(s) compared", self.deltas.len());
         for d in &self.deltas {
             let flag = if d.regressed {
                 "REGRESSED"
@@ -322,22 +299,22 @@ impl Report {
         }
         let n = self.regressions().len();
         if n > 0 {
-            let _ = writeln!(out, "{n} regression(s) past tolerance");
+            let _ = writeln!(out, "{n} regression(s)");
         } else {
-            let _ = writeln!(out, "no regressions past tolerance");
+            let _ = writeln!(out, "no regressions");
         }
         out
     }
 }
 
 /// Compares two parsed bench documents.
-pub fn compare(old: &Json, new: &Json, tolerance_pct: f64) -> Report {
+pub fn compare(old: &Json, new: &Json) -> Report {
     let mut report = Report::default();
-    walk(old, new, "", tolerance_pct, &mut report);
+    walk(old, new, "", &mut report);
     report
 }
 
-fn walk(old: &Json, new: &Json, path: &str, tol: f64, report: &mut Report) {
+fn walk(old: &Json, new: &Json, path: &str, report: &mut Report) {
     match (old, new) {
         (Json::Obj(of), Json::Obj(_)) => {
             for (key, ov) in of {
@@ -347,7 +324,7 @@ fn walk(old: &Json, new: &Json, path: &str, tol: f64, report: &mut Report) {
                     format!("{path}/{key}")
                 };
                 match new.get(key) {
-                    Some(nv) => walk(ov, nv, &sub, tol, report),
+                    Some(nv) => walk(ov, nv, &sub, report),
                     None => report.warnings.push(format!("{sub}: missing in NEW")),
                 }
             }
@@ -370,7 +347,7 @@ fn walk(old: &Json, new: &Json, path: &str, tol: f64, report: &mut Report) {
                     format!("{path}/{id}")
                 };
                 match na.iter().find(|nv| nv.identity() == id) {
-                    Some(nv) => walk(ov, nv, &sub, tol, report),
+                    Some(nv) => walk(ov, nv, &sub, report),
                     None => report.warnings.push(format!("{sub}: run missing in NEW")),
                 }
             }
@@ -384,20 +361,8 @@ fn walk(old: &Json, new: &Json, path: &str, tol: f64, report: &mut Report) {
             }
         }
         (Json::Num(o), Json::Num(n)) => {
-            let mut segs = path.rsplit('/');
-            let key = segs.next().unwrap_or(path);
-            let mut dir = direction(key);
-            // Phase maps name their unit on the *map* key
-            // (`phase_ms: {strategy: …}`): inherit the parent's
-            // direction for plain-named leaves.
-            if dir == Direction::Info {
-                if let Some(parent) = segs.next() {
-                    if parent.ends_with("_ms") || parent.ends_with("_us") {
-                        dir = Direction::HigherWorse;
-                    }
-                }
-            }
-            if dir == Direction::Info {
+            let key = path.rsplit('/').next().unwrap_or(path);
+            if !gated(key) {
                 return;
             }
             let pct = if *o != 0.0 {
@@ -407,21 +372,16 @@ fn walk(old: &Json, new: &Json, path: &str, tol: f64, report: &mut Report) {
             } else {
                 100.0
             };
-            let regressed = match dir {
-                Direction::HigherWorse => pct > tol,
-                Direction::LowerWorse => pct < -tol,
-                Direction::Info => false,
-            };
             report.deltas.push(Delta {
                 path: path.to_string(),
                 old: *o,
                 new: *n,
                 pct,
-                regressed,
+                regressed: n > o,
             });
         }
         // Strings/bools/nulls are identity context; a changed machine
-        // list or strategy label is a warning, not a perf delta.
+        // list or strategy label is a warning, not a cycle delta.
         (o, n) if o != n => report
             .warnings
             .push(format!("{path}: value changed between files")),
@@ -430,26 +390,22 @@ fn walk(old: &Json, new: &Json, path: &str, tol: f64, report: &mut Report) {
 }
 
 /// Parses and compares two bench documents; the string is the printed
-/// report. Exit-code contract: `Ok((report, 0))` within tolerance,
-/// `Ok((report, 1))` when any metric regressed.
+/// report. Exit-code contract: `Ok((report, 0))` when no cycle count
+/// grew, `Ok((report, 1))` when any did.
 ///
 /// # Errors
 ///
 /// Unparseable input (the caller exits 2).
-pub fn run_diff(
-    old_text: &str,
-    new_text: &str,
-    tolerance_pct: f64,
-) -> Result<(String, i32), String> {
+pub fn run_diff(old_text: &str, new_text: &str) -> Result<(String, i32), String> {
     let old = parse(old_text).map_err(|e| format!("OLD: {e}"))?;
     let new = parse(new_text).map_err(|e| format!("NEW: {e}"))?;
-    let report = compare(&old, &new, tolerance_pct);
+    let report = compare(&old, &new);
     let code = if report.regressions().is_empty() {
         0
     } else {
         1
     };
-    Ok((report.render(tolerance_pct), code))
+    Ok((report.render(), code))
 }
 
 #[cfg(test)]
@@ -457,82 +413,45 @@ mod tests {
     use super::*;
 
     const BASE: &str = r#"{
-      "bench": "compile",
+      "bench": "quality",
       "runs": [
-        {"machine": "r2000", "workload": "ll", "functions": 15,
-         "functions_per_sec": 200.0,
-         "phase_ms": {"select": 1.0, "strategy": 60.0}},
-        {"machine": "i860", "workload": "ll", "functions": 15,
-         "functions_per_sec": 100.0,
-         "phase_ms": {"select": 2.0, "strategy": 90.0}}
+        {"machine": "r2000", "strategy": "RASE", "workload": "LL3",
+         "sim_cycles": 1000, "est_cycles": 900, "critical_path": 700,
+         "stall_total": 40, "drift_pct": 11.11},
+        {"machine": "i860", "strategy": "RASE", "workload": "LL3",
+         "sim_cycles": 2000, "est_cycles": 1900, "critical_path": 1500,
+         "stall_total": 80, "drift_pct": 5.26}
       ]
     }"#;
 
     #[test]
     fn identical_files_exit_zero() {
-        let (report, code) = run_diff(BASE, BASE, 5.0).unwrap();
+        let (report, code) = run_diff(BASE, BASE).unwrap();
         assert_eq!(code, 0);
+        assert!(report.contains("4 metric(s) compared"), "{report}");
         assert!(report.contains("no regressions"));
     }
 
     #[test]
-    fn a_2x_time_regression_exits_nonzero() {
-        let worse = BASE.replace("\"strategy\": 60.0", "\"strategy\": 120.0");
-        let (report, code) = run_diff(BASE, &worse, 25.0).unwrap();
-        assert_eq!(code, 1);
-        assert!(report.contains("REGRESSED"));
-        assert!(report.contains("r2000/ll/phase_ms/strategy"));
-    }
-
-    #[test]
-    fn improvements_and_within_tolerance_changes_pass() {
-        // Faster time and a small rate wobble inside tolerance.
-        let better = BASE
-            .replace("\"strategy\": 60.0", "\"strategy\": 30.0")
-            .replace(
-                "\"functions_per_sec\": 100.0",
-                "\"functions_per_sec\": 98.0",
-            );
-        let (report, code) = run_diff(BASE, &better, 5.0).unwrap();
-        assert_eq!(code, 0, "{report}");
-    }
-
-    #[test]
-    fn a_rate_drop_past_tolerance_regresses() {
-        let slower = BASE.replace(
-            "\"functions_per_sec\": 200.0",
-            "\"functions_per_sec\": 150.0",
-        );
-        let (_, code) = run_diff(BASE, &slower, 10.0).unwrap();
-        assert_eq!(code, 1);
-    }
-
-    #[test]
     fn cycle_counts_gate_higher_is_worse() {
-        // Quality-matrix keys: sim/est cycles gate exactly, while the
-        // diagnostic columns (stalls, drift, utilization) stay Info.
-        let base = r#"{
-          "bench": "quality",
-          "runs": [
-            {"machine": "r2000", "strategy": "rase", "workload": "LL3",
-             "sim_cycles": 1000, "est_cycles": 900, "critical_path": 700,
-             "stall_total": 40, "drift_pct": 11.11}
-          ]
-        }"#;
-        let worse = base.replace("\"sim_cycles\": 1000", "\"sim_cycles\": 1001");
-        let (report, code) = run_diff(base, &worse, 0.0).unwrap();
+        // One extra simulated cycle is a regression, named by path.
+        let worse = BASE.replace("\"sim_cycles\": 1000", "\"sim_cycles\": 1001");
+        let (report, code) = run_diff(BASE, &worse).unwrap();
         assert_eq!(code, 1, "{report}");
-        assert!(report.contains("r2000/rase/LL3/sim_cycles"));
-        // Non-cycle quality columns never gate, even at tolerance 0.
-        let noisy = base
+        assert!(
+            report.contains("REGRESSED runs/r2000/RASE/LL3/sim_cycles"),
+            "{report}"
+        );
+        // Non-cycle quality columns never gate.
+        let noisy = BASE
             .replace("\"stall_total\": 40", "\"stall_total\": 90")
             .replace("\"drift_pct\": 11.11", "\"drift_pct\": 44.44")
             .replace("\"critical_path\": 700", "\"critical_path\": 800");
-        let (report, code) = run_diff(base, &noisy, 0.0).unwrap();
+        let (report, code) = run_diff(BASE, &noisy).unwrap();
         assert_eq!(code, 0, "{report}");
         // A cycle improvement passes.
-        let better = base.replace("\"est_cycles\": 900", "\"est_cycles\": 850");
-        let (_, code) = run_diff(base, &better, 0.0).unwrap();
+        let better = BASE.replace("\"est_cycles\": 900", "\"est_cycles\": 850");
+        let (_, code) = run_diff(BASE, &better).unwrap();
         assert_eq!(code, 0);
     }
 
@@ -540,18 +459,18 @@ mod tests {
     fn runs_match_by_identity_not_order() {
         let old = parse(BASE).unwrap();
         let swapped = r#"{
-          "bench": "compile",
+          "bench": "quality",
           "runs": [
-            {"machine": "i860", "workload": "ll", "functions": 15,
-             "functions_per_sec": 100.0,
-             "phase_ms": {"select": 2.0, "strategy": 90.0}},
-            {"machine": "r2000", "workload": "ll", "functions": 15,
-             "functions_per_sec": 200.0,
-             "phase_ms": {"select": 1.0, "strategy": 60.0}}
+            {"machine": "i860", "strategy": "RASE", "workload": "LL3",
+             "sim_cycles": 2000, "est_cycles": 1900, "critical_path": 1500,
+             "stall_total": 80, "drift_pct": 5.26},
+            {"machine": "r2000", "strategy": "RASE", "workload": "LL3",
+             "sim_cycles": 1000, "est_cycles": 900, "critical_path": 700,
+             "stall_total": 40, "drift_pct": 11.11}
           ]
         }"#;
         let new = parse(swapped).unwrap();
-        let report = compare(&old, &new, 5.0);
+        let report = compare(&old, &new);
         assert!(report.warnings.is_empty(), "{:?}", report.warnings);
         assert!(report.regressions().is_empty());
     }
@@ -560,29 +479,29 @@ mod tests {
     fn missing_runs_and_keys_warn() {
         let old = parse(BASE).unwrap();
         let trimmed = r#"{
-          "bench": "compile",
+          "bench": "quality",
           "runs": [
-            {"machine": "r2000", "workload": "ll", "functions": 15,
-             "functions_per_sec": 200.0,
-             "phase_ms": {"select": 1.0}}
+            {"machine": "r2000", "strategy": "RASE", "workload": "LL3",
+             "sim_cycles": 1000, "critical_path": 700,
+             "stall_total": 40, "drift_pct": 11.11}
           ]
         }"#;
         let new = parse(trimmed).unwrap();
-        let report = compare(&old, &new, 5.0);
+        let report = compare(&old, &new);
         assert!(report
             .warnings
             .iter()
-            .any(|w| w.contains("i860/ll") && w.contains("missing in NEW")));
+            .any(|w| w.contains("i860/RASE/LL3") && w.contains("missing in NEW")));
         assert!(report
             .warnings
             .iter()
-            .any(|w| w.contains("strategy") && w.contains("missing in NEW")));
+            .any(|w| w.contains("est_cycles") && w.contains("missing in NEW")));
     }
 
     #[test]
     fn malformed_input_is_an_error() {
-        assert!(run_diff("{", BASE, 5.0).is_err());
-        assert!(run_diff(BASE, "[1,", 5.0).is_err());
+        assert!(run_diff("{", BASE).is_err());
+        assert!(run_diff(BASE, "[1,").is_err());
         assert!(parse("{\"a\":1} junk").is_err());
     }
 

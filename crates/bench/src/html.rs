@@ -467,83 +467,6 @@ pub fn render_html_with(
     out
 }
 
-/// Renders a before/after table of strategy-subphase self-times from
-/// two `BENCH_compile.json` documents (the committed baseline and a
-/// fresh run). Each row is one subphase (`ready_scan`, `ig_build`, …)
-/// with its self time summed over every `runs[]` entry of each file
-/// and the signed percent change. Returns a self-contained HTML
-/// fragment for [`render_html_with`]'s extra-sections slot.
-///
-/// # Errors
-///
-/// Either document fails to parse, or neither carries a
-/// `subphase_self_ms` map (a pre-subphase-era bench file).
-pub fn subphase_diff_table(old_text: &str, new_text: &str) -> Result<String, String> {
-    use crate::diff::{parse, Json};
-    let totals = |text: &str| -> Result<BTreeMap<String, f64>, String> {
-        let doc = parse(text)?;
-        let mut sums = BTreeMap::new();
-        let Json::Obj(top) = &doc else {
-            return Err("bench document is not an object".into());
-        };
-        let runs = top
-            .iter()
-            .find(|(k, _)| k == "runs")
-            .map(|(_, v)| v)
-            .ok_or("bench document has no runs[]")?;
-        let Json::Arr(runs) = runs else {
-            return Err("runs is not an array".into());
-        };
-        for run in runs {
-            let Json::Obj(fields) = run else { continue };
-            let Some((_, Json::Obj(subs))) = fields.iter().find(|(k, _)| k == "subphase_self_ms")
-            else {
-                continue;
-            };
-            for (name, v) in subs {
-                if let Json::Num(ms) = v {
-                    *sums.entry(name.clone()).or_insert(0.0) += ms;
-                }
-            }
-        }
-        Ok(sums)
-    };
-    let (before, after) = (totals(old_text)?, totals(new_text)?);
-    if before.is_empty() && after.is_empty() {
-        return Err("neither bench file carries subphase_self_ms".into());
-    }
-    let mut names: Vec<&String> = before.keys().chain(after.keys()).collect();
-    names.sort();
-    names.dedup();
-    let mut out = String::new();
-    table_open(
-        &mut out,
-        &["subphase", "before self ms", "after self ms", "change"],
-    );
-    for name in names {
-        let b = before.get(name).copied();
-        let a = after.get(name).copied();
-        let change = match (b, a) {
-            (Some(b), Some(a)) if b > 0.0 => format!("{:+.1}%", (a - b) / b * 100.0),
-            (Some(_), None) => "below floor".into(),
-            (None, Some(_)) => "new".into(),
-            _ => "\u{2014}".into(),
-        };
-        let fmt = |v: Option<f64>| {
-            v.map(|v| format!("{v:.3}"))
-                .unwrap_or_else(|| "\u{2014}".into())
-        };
-        table_row(&mut out, &[name.clone(), fmt(b), fmt(a), change]);
-    }
-    table_close(&mut out);
-    out.push_str(
-        "<p class=\"muted\">self time = wall time minus nested micro-spans, \
-         summed over all machines and workloads of each bench file; \
-         sub-floor entries are omitted at recording time.</p>\n",
-    );
-    Ok(out)
-}
-
 /// Renders the retargeting-fuzz section from a `BENCH_retarget.json`
 /// file (written by `marion-fuzz`): the audit-coverage headline
 /// numbers and, when the run found anything, the failing machines.
@@ -1317,28 +1240,6 @@ mod tests {
         assert!(html.contains("Dependence DAG"));
         assert!(!html.contains("http:") && !html.contains("https:"));
         assert!(!html.contains("src=") && !html.contains("href="));
-    }
-
-    #[test]
-    fn subphase_diff_table_renders_before_after_and_deltas() {
-        let old = r#"{"runs": [
-            {"machine": "a", "subphase_self_ms": {"ready_scan": 2.0, "ig_build": 1.0}},
-            {"machine": "b", "subphase_self_ms": {"ready_scan": 2.0, "evict_scan": 0.5}}
-        ]}"#;
-        let new = r#"{"runs": [
-            {"machine": "a", "subphase_self_ms": {"ready_scan": 1.0, "ig_build": 1.5}},
-            {"machine": "b", "subphase_self_ms": {"ready_scan": 1.0, "prep": 0.2}}
-        ]}"#;
-        let table = subphase_diff_table(old, new).expect("renders");
-        // ready_scan: 4.0 -> 2.0 = -50%; ig_build: 1.0 -> 1.5 = +50%.
-        assert!(table.contains("ready_scan"), "{table}");
-        assert!(table.contains("-50.0%"), "{table}");
-        assert!(table.contains("+50.0%"), "{table}");
-        // One-sided rows render as dropped/new, not as errors.
-        assert!(table.contains("below floor"), "{table}");
-        assert!(table.contains("new"), "{table}");
-        // Files without the map are a structured error, not a panic.
-        assert!(subphase_diff_table(r#"{"runs": []}"#, r#"{"runs": []}"#).is_err());
     }
 
     #[test]

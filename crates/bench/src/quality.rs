@@ -5,7 +5,7 @@
 //! ([`crate::measure`]), and renders the matrix as
 //! `BENCH_quality.json`. Cycle counts are deterministic — the
 //! simulator has no noise sources — so the committed matrix is gated
-//! *exactly* (`marion-bench diff --tolerance 0`): any kernel whose
+//! *exactly* (`marion-bench diff`): any kernel whose
 //! sim-measured or estimated cycles regress fails CI.
 //!
 //! The same JSON feeds the `speedup` paper-table binary (per-machine

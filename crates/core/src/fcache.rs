@@ -22,11 +22,10 @@
 //!   meaningful against the same table).
 //!
 //! Deliberately **excluded**: `jobs` (module-order collection makes
-//! output identical at any worker count), `indexed_select` and
-//! `memo_select` (both crosschecked output-identical), and the cache
-//! handle itself. Invalidation is therefore automatic: change the
-//! machine description, strategy, relevant options or the function
-//! body and the key changes; stale entries age out of the LRU.
+//! output identical at any worker count) and the cache handle itself.
+//! Invalidation is therefore automatic: change the machine
+//! description, strategy, relevant options or the function body and
+//! the key changes; stale entries age out of the LRU.
 //!
 //! ## What an entry holds
 //!

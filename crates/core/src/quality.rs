@@ -22,7 +22,7 @@
 //!
 //! The consumers: `marion-bench quality` sweeps machines × strategies
 //! × workloads into `BENCH_quality.json` (the committed quality
-//! matrix, gated exactly by `marion-bench diff --tolerance 0`),
+//! matrix, gated exactly by `marion-bench diff`),
 //! `marion-fuzz` compares strategies against each other on generated
 //! machines, and the HTML report renders the "quality observatory"
 //! section from the JSON.

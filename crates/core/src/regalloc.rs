@@ -124,9 +124,6 @@ pub fn allocate_traced(
                 if vregs.is_empty() {
                     return Err(err("allocator failed without spill candidates"));
                 }
-                if std::env::var("MARION_RA_DEBUG").is_ok() {
-                    eprintln!("round {round}: spilling {vregs:?} in {}", func.name);
-                }
                 // A failing spill temporary must not be re-spilled (that
                 // loops): evict a colourable neighbor instead, or give
                 // up — the site is structurally over-committed.
@@ -587,27 +584,8 @@ fn color(
             .find(|(_, s, e)| (*s..*e).all(|u| !forbidden.contains(u as usize)))
             .map(|(r, _, _)| *r);
         match choice {
-            Some(c) => {
-                colors[v as usize] = Some(c);
-            }
-            None => {
-                if std::env::var("MARION_RA_DEBUG").is_ok() {
-                    let neigh: Vec<String> = neighbors
-                        .iter()
-                        .map(|n| format!("{}={:?}", Vreg(*n), colors[*n as usize]))
-                        .collect();
-                    let forb: Vec<usize> = graph.phys.row_iter(v as usize).collect();
-                    eprintln!(
-                        "  select fail {} class {:?} no_spill={} forb={:?} neigh={:?}",
-                        Vreg(v),
-                        func.vreg(Vreg(v)).class,
-                        no_spill[v as usize],
-                        forb,
-                        neigh
-                    );
-                }
-                spilled.push(Vreg(v));
-            }
+            Some(c) => colors[v as usize] = Some(c),
+            None => spilled.push(Vreg(v)),
         }
     }
     if spilled.is_empty() {

@@ -181,28 +181,24 @@ pub fn schedule_block(
     dag: &CodeDag,
     opts: &SchedOptions,
 ) -> Result<Schedule, CodegenError> {
-    schedule_block_traced(machine, func, block, dag, opts, &Tracer::off())
+    schedule_block_scratch(
+        machine,
+        func,
+        block,
+        dag,
+        opts,
+        &Tracer::off(),
+        &mut Scratch::new(),
+    )
 }
 
-/// [`schedule_block`] with micro-span attribution of the scheduler's
-/// interior: ready-list scans, temporal-group probes, candidate
-/// pick-and-place, and clock advances each fold into the tracer's
-/// self-profile.
-pub fn schedule_block_traced(
-    machine: &Machine,
-    func: &CodeFunc,
-    block: &CodeBlock,
-    dag: &CodeDag,
-    opts: &SchedOptions,
-    tracer: &Tracer,
-) -> Result<Schedule, CodegenError> {
-    schedule_block_scratch(machine, func, block, dag, opts, tracer, &mut Scratch::new())
-}
-
-/// [`schedule_block_traced`] with caller-provided [`Scratch`]: the hot
-/// loops (`ready_scan`, `group_scan`, `pick_place`) allocate nothing,
-/// and a caller scheduling many blocks (see [`crate::strategy`])
-/// amortises the scheduler's working set across all of them.
+/// [`schedule_block`] with a tracer and caller-provided [`Scratch`].
+/// The tracer attributes the scheduler's interior to micro-spans:
+/// ready-list scans, temporal-group probes, candidate pick-and-place,
+/// and clock advances each fold into its self-profile. The hot loops
+/// (`ready_scan`, `group_scan`, `pick_place`) allocate nothing, and a
+/// caller scheduling many blocks (see [`crate::strategy`]) amortises
+/// the scheduler's working set across all of them.
 pub fn schedule_block_scratch(
     machine: &Machine,
     func: &CodeFunc,
@@ -554,24 +550,21 @@ pub fn schedule_block_robust(
     block: &CodeBlock,
     opts: &SchedOptions,
 ) -> (Schedule, &'static str) {
-    schedule_block_robust_traced(machine, func, block, opts, &Tracer::off())
+    schedule_block_robust_scratch(
+        machine,
+        func,
+        block,
+        opts,
+        &Tracer::off(),
+        &mut Scratch::new(),
+    )
 }
 
-/// [`schedule_block_robust`] with micro-span attribution: DAG
-/// construction for each fallback rung folds into `dag_build`, and the
-/// list scheduler's interior is traced via [`schedule_block_traced`].
-pub fn schedule_block_robust_traced(
-    machine: &Machine,
-    func: &CodeFunc,
-    block: &CodeBlock,
-    opts: &SchedOptions,
-    tracer: &Tracer,
-) -> (Schedule, &'static str) {
-    schedule_block_robust_scratch(machine, func, block, opts, tracer, &mut Scratch::new())
-}
-
-/// [`schedule_block_robust_traced`] with caller-provided [`Scratch`],
-/// reused by every rung of the fallback ladder.
+/// [`schedule_block_robust`] with a tracer and caller-provided
+/// [`Scratch`], reused by every rung of the fallback ladder. DAG
+/// construction for each rung folds into the `dag_build` micro-span,
+/// and the list scheduler's interior is traced as in
+/// [`schedule_block_scratch`].
 pub fn schedule_block_robust_scratch(
     machine: &Machine,
     func: &CodeFunc,

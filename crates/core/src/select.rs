@@ -74,6 +74,14 @@ impl EscapeRegistry {
 
 /// Selects code for one IR function.
 ///
+/// Candidates come from the machine's precomputed
+/// [`marion_maril::SelectionIndex`] dispatch table, and each
+/// `(value node, template)` match attempt is memoised for the whole
+/// function, so shared subtrees revisited across blocks skip templates
+/// already known not to match. Both are prunings, not reorderings:
+/// [`select_func_reference`] is the paper's matcher without them, and
+/// the two must agree.
+///
 /// # Errors
 ///
 /// Fails when no pattern (after glue) covers a node — typically a
@@ -85,74 +93,32 @@ pub fn select_func(
     module: &ir::Module,
     func: &ir::Function,
 ) -> Result<CodeFunc, CodegenError> {
-    select_func_with(machine, escapes, module, func, true)
+    select(machine, escapes, module, func, false)
 }
 
-/// [`select_func`] with explicit matcher choice: `use_index` selects
-/// via the machine's precomputed [`marion_maril::SelectionIndex`]
-/// dispatch table; `false` falls back to the brute-force scan over
-/// every template. Both must pick identical templates (the index is a
-/// pruning, not a reordering) — the cross-check harness asserts this
-/// on every bundled machine × workload.
+/// The paper's brute-force ordered matcher (§2.1): every template is
+/// tried in description order at every node, with no index and no
+/// memo. It is the test oracle for [`select_func`], which must return
+/// an identical [`CodeFunc`]; the compiler never calls it.
 ///
 /// # Errors
 ///
 /// Same failure modes as [`select_func`].
-pub fn select_func_with(
+pub fn select_func_reference(
     machine: &Machine,
     escapes: &EscapeRegistry,
     module: &ir::Module,
     func: &ir::Function,
-    use_index: bool,
 ) -> Result<CodeFunc, CodegenError> {
-    select_func_opts(machine, escapes, module, func, use_index, true)
+    select(machine, escapes, module, func, true)
 }
 
-/// [`select_func_with`] with explicit memoization choice: `use_memo`
-/// records each `(value node, template)` match attempt in a
-/// per-function table, so shared subtrees revisited across blocks skip
-/// templates already known not to match. Memoization is sound because
-/// a top-level value match depends only on the immutable machine
-/// description and IR — the cross-check harness asserts memoized and
-/// unmemoized selection pick identical instructions.
-///
-/// # Errors
-///
-/// Same failure modes as [`select_func`].
-pub fn select_func_opts(
+fn select(
     machine: &Machine,
     escapes: &EscapeRegistry,
     module: &ir::Module,
     func: &ir::Function,
-    use_index: bool,
-    use_memo: bool,
-) -> Result<CodeFunc, CodegenError> {
-    select_func_traced(
-        machine,
-        escapes,
-        module,
-        func,
-        use_index,
-        use_memo,
-        &marion_trace::Tracer::off(),
-    )
-}
-
-/// [`select_func_opts`] with micro-span attribution: the pattern-match
-/// tree cover itself folds into the tracer's self-profile as
-/// `match_cover`.
-///
-/// # Errors
-///
-/// Same failure modes as [`select_func`].
-pub fn select_func_traced(
-    machine: &Machine,
-    escapes: &EscapeRegistry,
-    module: &ir::Module,
-    func: &ir::Function,
-    use_index: bool,
-    use_memo: bool,
-    tracer: &marion_trace::Tracer,
+    reference: bool,
 ) -> Result<CodeFunc, CodegenError> {
     let parents = func.parent_counts();
     let mut out = CodeFunc::new(&func.name);
@@ -170,14 +136,10 @@ pub fn select_func_traced(
         vmap: vec![None; func.vreg_tys.len()],
         cache: HashMap::new(),
         parents,
-        use_index,
-        use_memo,
+        reference,
         memo: HashMap::new(),
     };
-    {
-        let _m = tracer.mspan("match_cover");
-        ctx.run()?;
-    }
+    ctx.run()?;
     Ok(ctx.out)
 }
 
@@ -284,8 +246,8 @@ struct SelCtx<'a> {
     vmap: Vec<Option<Vreg>>,
     cache: HashMap<NodeId, Operand>,
     parents: Vec<u32>,
-    use_index: bool,
-    use_memo: bool,
+    /// Brute-force, unmemoised matching ([`select_func_reference`]).
+    reference: bool,
     /// Top-level value-match outcomes, `(node, template) -> matched?`.
     /// Persists for the whole function (unlike the per-block operand
     /// `cache`): a match attempt at depth 0 is a pure function of the
@@ -538,11 +500,21 @@ impl<'a> SelCtx<'a> {
             .collect()
     }
 
+    /// `indexed`, or every template in description order when
+    /// brute-forcing.
+    fn candidates(&self, indexed: &[TemplateId]) -> Vec<TemplateId> {
+        if self.reference {
+            self.all_templates()
+        } else {
+            indexed.to_vec()
+        }
+    }
+
     /// Candidate templates for value node `id`, in description order:
     /// the precomputed index lookup, or every template when
     /// brute-forcing.
     fn value_candidates(&self, id: NodeId) -> Vec<TemplateId> {
-        if !self.use_index {
+        if self.reference {
             return self.all_templates();
         }
         let shape = match &self.irf.node(id).kind {
@@ -600,13 +572,13 @@ impl<'a> SelCtx<'a> {
                     continue;
                 }
             }
-            if self.use_memo && self.memo.get(&(id, tid)) == Some(&false) {
+            if !self.reference && self.memo.get(&(id, tid)) == Some(&false) {
                 continue;
             }
             let mut plan = MatchPlan::new(tid, t.operands.len());
             plan.ops[0] = OpPlan::Def;
             let matched = self.match_expr(rhs, id, &mut plan, false);
-            if self.use_memo {
+            if !self.reference {
                 self.memo.insert((id, tid), matched);
             }
             if matched {
@@ -790,14 +762,8 @@ impl<'a> SelCtx<'a> {
                 let Some(tid) = machine.temporal_by_name(name) else {
                     return false;
                 };
-                let producers: Vec<TemplateId> = if self.use_index {
-                    machine
-                        .selection_index()
-                        .temporal_def_candidates(tid)
-                        .to_vec()
-                } else {
-                    self.all_templates()
-                };
+                let producers =
+                    self.candidates(machine.selection_index().temporal_def_candidates(tid));
                 for utid in producers {
                     let u = machine.template(utid);
                     if !u.effects.temporal_defs.contains(&tid) {
@@ -935,11 +901,7 @@ impl<'a> SelCtx<'a> {
 
     fn select_store(&mut self, addr: NodeId, value: NodeId, ty: Ty) -> Result<(), CodegenError> {
         let machine = self.machine;
-        let candidates = if self.use_index {
-            machine.selection_index().store_candidates().to_vec()
-        } else {
-            self.all_templates()
-        };
+        let candidates = self.candidates(machine.selection_index().store_candidates());
         for tid in candidates {
             let t = machine.template(tid);
             if t.escape.is_some() || !ty_match(t.ty, ty) {
@@ -994,11 +956,7 @@ impl<'a> SelCtx<'a> {
         target: ir::BlockId,
     ) -> Result<(), CodegenError> {
         let machine = self.machine;
-        let candidates = if self.use_index {
-            machine.selection_index().cond_branch_candidates().to_vec()
-        } else {
-            self.all_templates()
-        };
+        let candidates = self.candidates(machine.selection_index().cond_branch_candidates());
         for tid in candidates {
             let t = machine.template(tid);
             if t.escape.is_some() {
@@ -1042,11 +1000,7 @@ impl<'a> SelCtx<'a> {
 
     fn emit_goto(&mut self, target: ir::BlockId) -> Result<(), CodegenError> {
         let machine = self.machine;
-        let candidates = if self.use_index {
-            machine.selection_index().goto_candidates().to_vec()
-        } else {
-            self.all_templates()
-        };
+        let candidates = self.candidates(machine.selection_index().goto_candidates());
         for tid in candidates {
             let t = machine.template(tid);
             if let [Stmt::Goto(k)] = t.sem.as_slice() {
@@ -1191,7 +1145,7 @@ impl<'a> SelCtx<'a> {
     /// Finds a `$1 = $2 + #imm` template for `class` whose immediate
     /// range contains `value`.
     fn find_addi(&self, class: RegClassId, value: i64) -> Option<TemplateId> {
-        let candidates = if self.use_index {
+        let candidates = if !self.reference {
             self.machine
                 .selection_index()
                 .value_candidates(RootShape::Bin(BinOp::Add), false)
@@ -1287,11 +1241,7 @@ impl<'a> SelCtx<'a> {
         imm: ImmVal,
     ) -> Result<(), CodegenError> {
         let machine = self.machine;
-        let candidates = if self.use_index {
-            machine.selection_index().load_imm_candidates().to_vec()
-        } else {
-            self.all_templates()
-        };
+        let candidates = self.candidates(machine.selection_index().load_imm_candidates());
         for tid in candidates {
             let t = machine.template(tid);
             if t.def_class() != Some(class) {
@@ -1394,9 +1344,6 @@ impl<'a, 'b> EscapeCtx<'a, 'b> {
             Operand::Vreg(v) => {
                 let class = self.sel.out.vreg(v).class;
                 if self.sel.machine.reg_class(class).unit_width < 2 {
-                    if std::env::var("MARION_HALF_PANIC").is_ok() {
-                        panic!("half of single-unit vreg {v}");
-                    }
                     return Err(err(format!(
                         "half of single-unit vreg {v} (class `{}`)",
                         self.sel.machine.reg_class(class).name

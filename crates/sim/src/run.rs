@@ -315,15 +315,6 @@ impl<'a> Simulator<'a> {
                 *result.block_counts.entry((fi, bi)).or_insert(0) += 1;
             }
             let insts = self.word(pc);
-            if std::env::var("MARION_SIM_TRACE").is_ok() && result.words_executed < 200 {
-                let (fi, bi, wi) = self.flat[pc];
-                let word = &self.program.asm.funcs[fi].blocks[bi].words[wi];
-                eprintln!(
-                    "[{cycle}] pc={pc} {}.b{bi}.w{wi}: {}",
-                    self.program.asm.funcs[fi].name,
-                    marion_core::emit::render_word(self.machine, word, &self.program.symbols, "f")
-                );
-            }
 
             // ---- timing: operand interlocks ----
             let mut issue = cycle;

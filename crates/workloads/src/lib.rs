@@ -15,7 +15,6 @@
 pub mod gen;
 pub mod livermore;
 pub mod multi;
-pub mod rng;
 pub mod suite;
 
 /// A runnable benchmark program.

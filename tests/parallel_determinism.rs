@@ -1,11 +1,15 @@
 //! Parallel compilation must be invisible in the output: for any
 //! worker count, the assembly is byte-identical to the serial
 //! compile, the statistics agree, and the merged trace counters sum
-//! to the serial totals. Also pins the indexed-selection cross-check:
-//! the `SelectionIndex` fast path picks exactly the templates the
-//! brute-force matcher would.
+//! to the serial totals. Also pins the selection cross-check: the
+//! indexed, memoised matcher the compiler uses selects exactly what
+//! the paper's brute-force ordered matcher would.
 
-use marion::backend::{CompileOptions, CompiledProgram, Compiler, StrategyKind};
+use marion::backend::driver::materialize_float_constants;
+use marion::backend::glue::apply_glue;
+use marion::backend::{
+    select_func, select_func_reference, CompileOptions, CompiledProgram, Compiler, StrategyKind,
+};
 use marion::ir::Module;
 use marion::trace::TraceConfig;
 use std::num::NonZeroUsize;
@@ -22,7 +26,6 @@ fn compile(
     strategy: StrategyKind,
     module: &Module,
     jobs: usize,
-    indexed: bool,
     trace: bool,
 ) -> CompiledProgram {
     let spec = marion::machines::load(machine);
@@ -32,7 +35,6 @@ fn compile(
         strategy,
         CompileOptions {
             jobs: NonZeroUsize::new(jobs),
-            indexed_select: indexed,
             trace: trace.then(TraceConfig::default),
             ..CompileOptions::default()
         },
@@ -51,8 +53,8 @@ fn parallel_assembly_is_byte_identical_to_serial() {
     let module = marion::workloads::multi::combined_livermore();
     for machine in MACHINES {
         for strategy in STRATEGIES {
-            let serial = compile(machine, strategy, &module, 1, true, false);
-            let parallel = compile(machine, strategy, &module, 8, true, false);
+            let serial = compile(machine, strategy, &module, 1, false);
+            let parallel = compile(machine, strategy, &module, 8, false);
             assert_eq!(
                 render(machine, &serial),
                 render(machine, &parallel),
@@ -69,8 +71,8 @@ fn parallel_assembly_is_byte_identical_to_serial() {
 #[test]
 fn parallel_trace_counters_match_serial() {
     let module = marion::workloads::multi::combined_livermore();
-    let serial = compile("r2000", StrategyKind::Ips, &module, 1, true, true);
-    let parallel = compile("r2000", StrategyKind::Ips, &module, 8, true, true);
+    let serial = compile("r2000", StrategyKind::Ips, &module, 1, true);
+    let parallel = compile("r2000", StrategyKind::Ips, &module, 8, true);
     let st = serial.trace.expect("serial trace");
     let pt = parallel.trace.expect("parallel trace");
     for counter in [
@@ -103,8 +105,8 @@ fn compiling_the_same_module_twice_is_deterministic() {
     let module = marion::workloads::multi::combined_generated(6, 42);
     for machine in MACHINES {
         for strategy in STRATEGIES {
-            let a = compile(machine, strategy, &module, 1, true, false);
-            let b = compile(machine, strategy, &module, 1, true, false);
+            let a = compile(machine, strategy, &module, 1, false);
+            let b = compile(machine, strategy, &module, 1, false);
             assert_eq!(
                 render(machine, &a),
                 render(machine, &b),
@@ -126,11 +128,11 @@ fn fifty_repeated_compiles_per_strategy_are_byte_identical() {
     let module = marion::workloads::multi::combined_generated(2, 9);
     let machine = "i860";
     for strategy in STRATEGIES {
-        let baseline = compile(machine, strategy, &module, 1, true, false);
+        let baseline = compile(machine, strategy, &module, 1, false);
         let expected = render(machine, &baseline);
         for run in 1..50usize {
             let jobs = if run % 2 == 0 { 1 } else { 4 };
-            let again = compile(machine, strategy, &module, jobs, true, false);
+            let again = compile(machine, strategy, &module, jobs, false);
             assert_eq!(
                 expected,
                 render(machine, &again),
@@ -146,15 +148,42 @@ fn fifty_repeated_compiles_per_strategy_are_byte_identical() {
 
 #[test]
 fn indexed_selection_matches_brute_force() {
-    let module = marion::workloads::multi::combined_livermore();
-    for machine in MACHINES {
-        let indexed = compile(machine, StrategyKind::Ips, &module, 1, true, false);
-        let brute = compile(machine, StrategyKind::Ips, &module, 1, false, false);
-        assert_eq!(
-            render(machine, &indexed),
-            render(machine, &brute),
-            "{machine}: SelectionIndex and brute-force matching diverge"
-        );
-        assert_eq!(indexed.stats, brute.stats);
+    // Selection does not depend on the strategy, and everything after
+    // it is deterministic in its input, so equal selected code means
+    // equal assembly under every strategy.
+    let mut workloads: Vec<(String, Module)> = marion::workloads::livermore::kernels()
+        .iter()
+        .chain(marion::workloads::suite::programs().iter())
+        .map(|w| (w.name.clone(), w.module()))
+        .collect();
+    workloads.push((
+        "livermore_combined".into(),
+        marion::workloads::multi::combined_livermore(),
+    ));
+    workloads.push((
+        "generated_combined".into(),
+        marion::workloads::multi::combined_generated(12, 42),
+    ));
+    for (_, module) in &mut workloads {
+        materialize_float_constants(module);
+    }
+    for spec in marion::machines::load_extended() {
+        let machine = &spec.machine;
+        for (name, module) in &workloads {
+            for func in &module.funcs {
+                let mut func = func.clone();
+                apply_glue(machine, &mut func).unwrap();
+                let at = || format!("{}/{name}/{}", machine.name(), func.name);
+                let fast = select_func(machine, &spec.escapes, module, &func)
+                    .unwrap_or_else(|e| panic!("{}: {e}", at()));
+                let reference = select_func_reference(machine, &spec.escapes, module, &func)
+                    .unwrap_or_else(|e| panic!("{}: {e}", at()));
+                assert!(
+                    fast == reference,
+                    "{}: indexed selection diverges from the reference matcher",
+                    at()
+                );
+            }
+        }
     }
 }

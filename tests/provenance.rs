@@ -19,7 +19,7 @@ use marion::backend::{audit_schedule, code::CodeBlock};
 use marion::machines::MachineSpec;
 use marion::maril::Machine;
 use marion::workloads::gen::{random_program, GenConfig};
-use marion::workloads::rng::SplitMix64;
+use marion_rng::SplitMix64;
 
 const DOT_PRODUCT: &str = "int a[64]; int b[64];
 int main() {

@@ -5,13 +5,13 @@
 //! every machine, plus the Livermore kernels on the EAP machine.
 //!
 //! Random programs come from deterministic in-repo seeds
-//! ([`marion::workloads::rng::SplitMix64`]); a failure names its seed
+//! ([`marion_rng::SplitMix64`]); a failure names its seed
 //! and reproduces exactly.
 
 use marion::backend::{audit_schedule, sched::Schedule};
 use marion::backend::{dag::build_dag, regalloc::allocate, sched, select::select_func};
 use marion::workloads::gen::{random_program, GenConfig};
-use marion::workloads::rng::SplitMix64;
+use marion_rng::SplitMix64;
 
 /// Every placed instruction's stall tiles must exactly account for
 /// the gap between its ready and issue cycles (the provenance
