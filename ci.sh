@@ -139,7 +139,7 @@ grep -q 'Compile service' report.html
 grep -q 'self-profile flamegraph' report.html
 grep -q '<svg ' report.html
 grep -q 'Dependence DAG' report.html
-grep -q 'ready_scan' report.html
+grep -q 'pick_place' report.html
 # The retargeting fuzz audit section is embedded.
 grep -q 'Retargeting fuzz audit' report.html
 grep -q 'blocks audited' report.html

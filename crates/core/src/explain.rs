@@ -270,20 +270,18 @@ pub(crate) fn build_records(
     records
 }
 
-/// Appends one stalled cycle to a per-instruction log, coalescing with
-/// the previous tile when it is contiguous and has the same reason.
-pub(crate) fn log_stall(log: &mut Vec<Stall>, at: u32, reason: StallReason) {
+/// Appends `cycles` stalled cycles from `at` on to a run-length log,
+/// coalescing with the previous tile when it is contiguous and has the
+/// same reason, so appending a log run by run or cycle by cycle yields
+/// the same tiles.
+pub(crate) fn log_stall(log: &mut Vec<Stall>, at: u32, cycles: u32, reason: StallReason) {
     if let Some(last) = log.last_mut() {
         if last.reason == reason && last.at + last.cycles == at {
-            last.cycles += 1;
+            last.cycles += cycles;
             return;
         }
     }
-    log.push(Stall {
-        at,
-        cycles: 1,
-        reason,
-    });
+    log.push(Stall { at, cycles, reason });
 }
 
 /// Computes per-node slack and one zero-slack chain for a DAG.

@@ -19,7 +19,7 @@ use crate::code::{CodeBlock, CodeFunc, Operand, VregKind};
 use crate::dag::{CodeDag, EdgeKind};
 use crate::error::{CodegenError, Phase};
 use crate::explain::{log_stall, ScheduleExplanation, Stall, StallReason};
-use marion_maril::machine::ClockId;
+use marion_maril::machine::{ClockId, TemplateId};
 use marion_maril::{Machine, ResSet};
 use marion_trace::Tracer;
 use std::cmp::Reverse;
@@ -30,16 +30,19 @@ use std::collections::BinaryHeap;
 /// consecutive [`schedule_block_scratch`] calls (each call resets the
 /// lengths it needs but keeps the capacity), so a caller walking a
 /// whole function allocates the scheduler's working set once instead
-/// of once per block. All state is dense: vreg-indexed, cycle-indexed,
-/// or clock-indexed arrays — no hashing on the scheduling path.
+/// of once per block. All state is dense: vreg-, cycle-, clock-,
+/// template- or bucket-indexed arrays — no hashing on the scheduling
+/// path.
 #[derive(Default)]
 pub struct Scratch {
     /// Remaining uses per local vreg (vreg-indexed; 0 = untracked).
     uses_left: Vec<u32>,
     /// Liveness flag per tracked local vreg (vreg-indexed).
     live_local: Vec<bool>,
-    /// Temporal edge indices bucketed by clock id.
-    temporal_by_clock: Vec<Vec<usize>>,
+    /// Open temporal edges per clock id, in edge order.
+    open_edges: Vec<Vec<usize>>,
+    /// Rule-1 summary per clock id.
+    gates: Vec<Gate>,
     /// Open temporal-group destination list.
     dests: Vec<usize>,
     /// Combined group resource vector, cycle-offset-indexed.
@@ -48,15 +51,12 @@ pub struct Scratch {
     pred_left: Vec<usize>,
     earliest: Vec<u32>,
     timeline: Vec<ResSet>,
-    /// Ready-set worklist: instructions with all predecessors issued
-    /// and operands arrived, plus each instruction's slot in it.
-    ready: Vec<usize>,
-    ready_pos: Vec<u32>,
+    /// The ready set: instructions with all predecessors issued and
+    /// operands arrived, bucketed by template and pressure effect.
+    ready: ReadySet,
     /// Min-heap of (arrival cycle, instruction) for instructions whose
     /// predecessors all issued but whose operands are still in flight.
     pending: BinaryHeap<Reverse<(u32, usize)>>,
-    /// Open temporal edges per clock id.
-    open_clock_edges: Vec<u32>,
 }
 
 impl Scratch {
@@ -129,6 +129,12 @@ pub struct SchedMetrics {
     pub issue_cycles: usize,
     /// Cycles that issued at least two sub-operations (packed words).
     pub packed_words: usize,
+    /// Scheduler work, independent of the host: ready-set bucket heads
+    /// examined by picks and by per-cycle stall attribution, plus the
+    /// instructions examined on their own (an open temporal
+    /// destination). Grows with buckets per decision, not with the
+    /// ready list's length.
+    pub pick_probes: usize,
 }
 
 impl SchedMetrics {
@@ -194,11 +200,12 @@ pub fn schedule_block(
 
 /// [`schedule_block`] with a tracer and caller-provided [`Scratch`].
 /// The tracer attributes the scheduler's interior to micro-spans:
-/// ready-list scans, temporal-group probes, candidate pick-and-place,
-/// and clock advances each fold into its self-profile. The hot loops
-/// (`ready_scan`, `group_scan`, `pick_place`) allocate nothing, and a
-/// caller scheduling many blocks (see [`crate::strategy`]) amortises
-/// the scheduler's working set across all of them.
+/// temporal-group probes, candidate pick-and-place, and clock advances
+/// (with their stall attribution) each fold into its self-profile. The
+/// hot loops (`group_scan`, `pick_place`, `advance`) allocate nothing
+/// once the scratch buffers have grown, and a caller scheduling many
+/// blocks (see [`crate::strategy`]) amortises the scheduler's working
+/// set across all of them.
 pub fn schedule_block_scratch(
     machine: &Machine,
     func: &CodeFunc,
@@ -233,22 +240,15 @@ pub fn schedule_block_scratch(
         }
     }
 
-    // Temporal edges bucketed per clock, so the group and Rule-1 scans
-    // touch only one clock's (few) temporal edges instead of the whole
-    // edge list on every probe.
-    for list in scratch.temporal_by_clock.iter_mut() {
+    let nclocks = machine.clocks().len();
+    for list in scratch.open_edges.iter_mut() {
         list.clear();
     }
-    let nclocks = machine.clocks().len();
-    if scratch.temporal_by_clock.len() < nclocks {
-        scratch.temporal_by_clock.resize_with(nclocks, Vec::new);
+    if scratch.open_edges.len() < nclocks {
+        scratch.open_edges.resize_with(nclocks, Vec::new);
     }
-    for (ei, e) in dag.edges.iter().enumerate() {
-        if let EdgeKind::TrueTemporal(k) = e.kind {
-            scratch.temporal_by_clock[k.0 as usize].push(ei);
-        }
-    }
-
+    scratch.gates.clear();
+    scratch.gates.resize(nclocks, Gate::default());
     scratch.scheduled.clear();
     scratch.scheduled.resize(n, false);
     scratch.pred_left.clear();
@@ -256,23 +256,10 @@ pub fn schedule_block_scratch(
     scratch.earliest.clear();
     scratch.earliest.resize(n, 0);
     scratch.timeline.clear();
-    // Seed the ready worklist with the DAG roots. An instruction's
-    // `earliest` is final once its last predecessor issues (nothing
-    // updates it afterwards), so readiness is event-driven: the last
-    // releasing `place` either enqueues the successor here or parks it
-    // in the pending heap until its operands arrive.
-    scratch.ready.clear();
-    scratch.ready_pos.clear();
-    scratch.ready_pos.resize(n, u32::MAX);
     scratch.pending.clear();
-    scratch.open_clock_edges.clear();
-    scratch.open_clock_edges.resize(nclocks, 0);
-    for i in 0..n {
-        if scratch.pred_left[i] == 0 {
-            scratch.ready_pos[i] = scratch.ready.len() as u32;
-            scratch.ready.push(i);
-        }
-    }
+    scratch
+        .ready
+        .reset(machine, block, nv, opts.local_reg_limit.is_some());
 
     let mut state = SchedState {
         machine,
@@ -290,43 +277,39 @@ pub fn schedule_block_scratch(
         live_local: std::mem::take(&mut scratch.live_local),
         live_count: 0,
         uses_left: std::mem::take(&mut scratch.uses_left),
-        temporal_by_clock: std::mem::take(&mut scratch.temporal_by_clock),
+        open_edges: std::mem::take(&mut scratch.open_edges),
+        gates: std::mem::take(&mut scratch.gates),
         extra: std::mem::take(&mut scratch.extra),
         ready: std::mem::take(&mut scratch.ready),
-        ready_pos: std::mem::take(&mut scratch.ready_pos),
         pending: std::mem::take(&mut scratch.pending),
-        open_clock_edges: std::mem::take(&mut scratch.open_clock_edges),
+        hazard: vec![Vec::new(); n],
+        #[cfg(debug_assertions)]
+        shadow: vec![Vec::new(); n],
+        probes: 0,
         local_limit: opts.local_reg_limit,
         ignore_rule1: opts.ignore_rule1,
         peak_pressure: 0,
         func,
     };
+    // Seed the ready set with the DAG roots. An instruction's
+    // `earliest` is final once its last predecessor issues (nothing
+    // updates it afterwards), so readiness is event-driven: the last
+    // releasing `place` either enqueues the successor or parks it in
+    // the pending heap until its operands arrive.
+    for i in 0..n {
+        if state.pred_left[i] == 0 {
+            state.push_ready(i);
+        }
+    }
 
     let mut metrics = SchedMetrics::from_dag(dag);
     drop(prep);
-    // Per-instruction hazard log: one entry per cycle an instruction
-    // was ready but could not issue, stamped just before the clock
-    // advances (when cycle membership is final). Together with the
-    // dependence wait derived afterwards this tiles
-    // `[ready_cycle, issue_cycle)` exactly.
-    let mut hazard: Vec<Vec<Stall>> = vec![Vec::new(); n];
     let mut remaining = n;
     let max_cycles = (n as u32 + 8) * 64 + 1024;
     // Rule-1 destination list, reused across cycles.
     let mut dests = std::mem::take(&mut scratch.dests);
     while remaining > 0 {
-        // The worklist *is* the ready set, so the per-cycle count is a
-        // length read; the span only brackets high-water bookkeeping.
-        let ready = {
-            let _m = tracer.mspan("ready_scan");
-            debug_assert!(state.ready.iter().all(|&i| state.is_ready(i)));
-            debug_assert_eq!(
-                state.ready.len(),
-                (0..n).filter(|&i| state.is_ready(i)).count()
-            );
-            state.ready.len()
-        };
-        metrics.ready_high_water = metrics.ready_high_water.max(ready);
+        metrics.ready_high_water = metrics.ready_high_water.max(state.ready.len);
         let mut progress = true;
         while progress {
             progress = false;
@@ -335,14 +318,10 @@ pub fn schedule_block_scratch(
             if !opts.ignore_rule1 {
                 let _m = tracer.mspan("group_scan");
                 for k in 0..nclocks {
-                    if state.open_clock_edges[k] == 0 {
+                    if state.open_edges[k].is_empty() {
                         continue;
                     }
-                    let clock = ClockId(k as u32);
-                    state.open_dests_into(clock, &mut dests);
-                    if dests.is_empty() {
-                        continue;
-                    }
+                    state.open_dests_into(ClockId(k as u32), &mut dests);
                     if state.try_place_group(&dests) {
                         remaining -= dests.len();
                         metrics.temporal_groups += 1;
@@ -360,10 +339,7 @@ pub fn schedule_block_scratch(
         }
         if remaining > 0 {
             let _m = tracer.mspan("advance");
-            for idx in 0..state.ready.len() {
-                let i = state.ready[idx];
-                log_stall(&mut hazard[i], state.t, state.stall_reason_at(i));
-            }
+            state.attribute_stalls();
             state.advance_cycle();
             if state.t > max_cycles {
                 let stuck: Vec<usize> = (0..n).filter(|i| !state.scheduled[*i]).collect();
@@ -377,6 +353,10 @@ pub fn schedule_block_scratch(
     }
 
     let _m = tracer.mspan("finalize");
+    #[cfg(debug_assertions)]
+    debug_assert_eq!(state.hazard, state.shadow, "bucketed stall logs diverged");
+    metrics.pick_probes = state.probes;
+    let hazard = std::mem::take(&mut state.hazard);
     let (cycles, inst_cycle, peak_pressure) = state.reclaim(scratch, dests);
     // Schedule length: last issue cycle + 1, plus the delay slots of
     // the block's final control transfer.
@@ -635,7 +615,7 @@ pub fn serial_schedule(machine: &Machine, block: &CodeBlock, dag: &CodeDag) -> S
                 let idx = at as usize + c;
                 if timeline.len() > idx && timeline[idx].intersects(need) {
                     if let Some(r) = timeline[idx].intersection(need).iter().next() {
-                        log_stall(&mut hazard[i], at, StallReason::Resource { resource: r });
+                        log_stall(&mut hazard[i], at, 1, StallReason::Resource { resource: r });
                     }
                     at += 1;
                     continue 'search;
@@ -742,6 +722,289 @@ pub fn reservation_rows(machine: &Machine, block: &CodeBlock, schedule: &Schedul
     rows
 }
 
+/// "No bucket" / "no block-local template".
+const NONE: u32 = u32::MAX;
+
+/// The first failing template-level check of a ready instruction —
+/// resources, then packing class — in the order
+/// [`SchedState::stall_reason_at`] reports them.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Verdict {
+    Fits,
+    Resource(u32),
+    Class,
+}
+
+impl Verdict {
+    /// The stall reason of an instruction with this verdict whose
+    /// Rule-1 check passed.
+    fn reason(self, pressure_fits: bool) -> StallReason {
+        match self {
+            Verdict::Resource(resource) => StallReason::Resource { resource },
+            Verdict::Class => StallReason::ClassPacking,
+            Verdict::Fits if !pressure_fits => StallReason::RegPressure,
+            Verdict::Fits => StallReason::Other,
+        }
+    }
+}
+
+/// A template the block uses, with its verdict memoised for one
+/// decision (valid while `stamp` equals the ready set's).
+#[derive(Clone, Copy)]
+struct LocalTemplate {
+    id: TemplateId,
+    clock: Option<ClockId>,
+    stamp: u32,
+    verdict: Verdict,
+}
+
+/// Rule 1 on one clock, summarised over its *qualifying* edges: open
+/// temporal edges whose source issued before the current cycle.
+/// `first` is the first of them in edge order; `many` says their
+/// destinations differ. With none, every instruction affecting the
+/// clock passes; with one destination, only that destination does;
+/// with several, none does.
+#[derive(Debug, Clone, Copy, Default)]
+struct Gate {
+    first: Option<usize>,
+    many: bool,
+}
+
+/// Ready instructions that share a template and a pressure delta: they
+/// pass or fail every pick-time check together (Rule 1 aside for one
+/// open destination per clock), so the head speaks for all of them.
+#[derive(Default)]
+struct Bucket {
+    tmpl: u32,
+    delta: i32,
+    /// Members as max-heap entries `(priority, Reverse(index),
+    /// version)`, so the head is the bucket's maximum under the
+    /// scheduler's total order. Leaving is lazy: an entry is live only
+    /// while its version is the instruction's current one.
+    heap: BinaryHeap<(u32, Reverse<u32>, u32)>,
+    len: u32,
+    /// The stall reason the members shared in each cycle the bucket was
+    /// non-empty, run-length encoded.
+    log: Vec<Stall>,
+}
+
+/// The ready set, bucketed by (template, pressure delta). A pick
+/// checks resources and class once per template and pressure once per
+/// bucket, then compares bucket heads; a cycle's stall attribution
+/// logs one reason per bucket, and a member copies the runs it sat
+/// through when it leaves. Both cost O(buckets + log n) rather than
+/// O(ready instructions).
+#[derive(Default)]
+struct ReadySet {
+    /// Block-local template id per machine template (`NONE` if the
+    /// block does not use it), and the block's templates.
+    local_of: Vec<u32>,
+    templates: Vec<LocalTemplate>,
+    /// Bucket id per (local template, delta - `dmin`), `width` deltas
+    /// per template; `NONE` until first used.
+    slots: Vec<u32>,
+    dmin: i32,
+    width: usize,
+    buckets: Vec<Bucket>,
+    nbuckets: usize,
+    /// Instructions in the set.
+    len: usize,
+    /// Verdict memo generation, bumped before each decision.
+    stamp: u32,
+    /// Per instruction: local template, pressure delta, bucket (`NONE`
+    /// unless ready), first cycle of its bucket's log not yet copied
+    /// into its stall log, and membership version.
+    tmpl: Vec<u32>,
+    delta: Vec<i32>,
+    bucket: Vec<u32>,
+    since: Vec<u32>,
+    version: Vec<u32>,
+    /// The instructions referencing each vreg (compressed sparse rows
+    /// over vreg ids): a placement re-derives the delta only of ready
+    /// instructions that read or write a vreg whose `uses_left == 1`,
+    /// `uses_left > 0` or liveness it flipped. Built only under a
+    /// register limit.
+    ref_start: Vec<u32>,
+    refs: Vec<u32>,
+    flipped: Vec<u32>,
+}
+
+fn vreg_of(op: &Operand) -> Option<usize> {
+    match op {
+        Operand::Vreg(v) | Operand::VregHalf(v, _) => Some(v.0 as usize),
+        _ => None,
+    }
+}
+
+impl ReadySet {
+    fn reset(&mut self, machine: &Machine, block: &CodeBlock, nv: usize, limited: bool) {
+        for lt in &self.templates {
+            if let Some(slot) = self.local_of.get_mut(lt.id.0 as usize) {
+                *slot = NONE;
+            }
+        }
+        self.templates.clear();
+        self.local_of.resize(machine.templates().len(), NONE);
+        self.tmpl.clear();
+        // A delta counts -1 per use and +1 per def operand at most.
+        let (mut max_uses, mut max_defs) = (0, 0);
+        for inst in &block.insts {
+            let g = inst.template.0 as usize;
+            if self.local_of[g] == NONE {
+                self.local_of[g] = self.templates.len() as u32;
+                self.templates.push(LocalTemplate {
+                    id: inst.template,
+                    clock: machine.template(inst.template).affects_clock,
+                    stamp: 0,
+                    verdict: Verdict::Fits,
+                });
+            }
+            self.tmpl.push(self.local_of[g]);
+            if limited {
+                max_uses = max_uses.max(inst.use_operands(machine).filter_map(vreg_of).count());
+                max_defs = max_defs.max(inst.def_operands(machine).filter_map(vreg_of).count());
+            }
+        }
+        self.dmin = -(max_uses as i32);
+        self.width = max_uses + max_defs + 1;
+        self.slots.clear();
+        self.slots.resize(self.templates.len() * self.width, NONE);
+        self.nbuckets = 0;
+        self.len = 0;
+        self.stamp = 0;
+        let n = block.insts.len();
+        self.delta.clear();
+        self.delta.resize(n, 0);
+        self.bucket.clear();
+        self.bucket.resize(n, NONE);
+        self.since.clear();
+        self.since.resize(n, 0);
+        self.version.clear();
+        self.version.resize(n, 0);
+        if !limited {
+            return;
+        }
+        // Count into `ref_start[v + 1]`, prefix-sum to row starts, fill
+        // by bumping each row's start to its end, then shift back.
+        self.ref_start.clear();
+        self.ref_start.resize(nv + 1, 0);
+        for inst in &block.insts {
+            for v in inst
+                .use_operands(machine)
+                .chain(inst.def_operands(machine))
+                .filter_map(vreg_of)
+            {
+                self.ref_start[v + 1] += 1;
+            }
+        }
+        for v in 0..nv {
+            self.ref_start[v + 1] += self.ref_start[v];
+        }
+        self.refs.clear();
+        self.refs.resize(self.ref_start[nv] as usize, 0);
+        for (i, inst) in block.insts.iter().enumerate() {
+            for v in inst
+                .use_operands(machine)
+                .chain(inst.def_operands(machine))
+                .filter_map(vreg_of)
+            {
+                self.refs[self.ref_start[v] as usize] = i as u32;
+                self.ref_start[v] += 1;
+            }
+        }
+        for v in (1..=nv).rev() {
+            self.ref_start[v] = self.ref_start[v - 1];
+        }
+        self.ref_start[0] = 0;
+    }
+
+    /// The bucket of (local template, delta), created on first use.
+    fn bucket_of(&mut self, tmpl: u32, delta: i32) -> usize {
+        let slot = tmpl as usize * self.width + (delta - self.dmin) as usize;
+        if self.slots[slot] == NONE {
+            if self.buckets.len() == self.nbuckets {
+                self.buckets.push(Bucket::default());
+            }
+            let b = &mut self.buckets[self.nbuckets];
+            b.tmpl = tmpl;
+            b.delta = delta;
+            b.heap.clear();
+            b.len = 0;
+            b.log.clear();
+            self.slots[slot] = self.nbuckets as u32;
+            self.nbuckets += 1;
+        }
+        self.slots[slot] as usize
+    }
+
+    /// Adds ready instruction `i` at cycle `t`.
+    fn insert(&mut self, i: usize, delta: i32, priority: u32, t: u32) {
+        let b = self.bucket_of(self.tmpl[i], delta);
+        self.version[i] += 1;
+        self.delta[i] = delta;
+        self.bucket[i] = b as u32;
+        self.since[i] = t;
+        let bucket = &mut self.buckets[b];
+        bucket
+            .heap
+            .push((priority, Reverse(i as u32), self.version[i]));
+        bucket.len += 1;
+        self.len += 1;
+    }
+
+    /// Takes `i` out of the set at cycle `t`, first copying into `log`
+    /// the stall runs its bucket logged since `i` joined.
+    fn remove(&mut self, i: usize, t: u32, log: &mut Vec<Stall>) {
+        self.flush(i, t, log);
+        let bucket = &mut self.buckets[self.bucket[i] as usize];
+        bucket.len -= 1;
+        if bucket.len == 0 {
+            bucket.heap.clear();
+        }
+        self.version[i] += 1;
+        self.bucket[i] = NONE;
+        self.len -= 1;
+    }
+
+    /// Copies `i`'s bucket's stall runs clipped to `[since, t)` into
+    /// `log` and moves `since` to `t`.
+    fn flush(&mut self, i: usize, t: u32, log: &mut Vec<Stall>) {
+        let from = self.since[i];
+        let runs = &self.buckets[self.bucket[i] as usize].log;
+        let start = runs.partition_point(|s| s.at + s.cycles <= from);
+        for s in runs[start..].iter().take_while(|s| s.at < t) {
+            let (at, end) = (s.at.max(from), (s.at + s.cycles).min(t));
+            if at < end {
+                log_stall(log, at, end - at, s.reason);
+            }
+        }
+        self.since[i] = t;
+    }
+
+    /// The maximum member of non-empty bucket `b`.
+    fn head(&mut self, b: usize) -> usize {
+        let heap = &mut self.buckets[b].heap;
+        loop {
+            let &(_, Reverse(i), version) =
+                heap.peek().expect("a non-empty bucket has a live entry");
+            if self.version[i as usize] == version {
+                return i as usize;
+            }
+            heap.pop();
+        }
+    }
+
+    /// The live members of bucket `b`, in no particular order.
+    #[cfg(debug_assertions)]
+    fn members(&self, b: usize) -> impl Iterator<Item = usize> + '_ {
+        self.buckets[b]
+            .heap
+            .iter()
+            .filter(|&&(_, Reverse(i), version)| self.version[i as usize] == version)
+            .map(|&(_, Reverse(i), _)| i as usize)
+    }
+}
+
 struct SchedState<'a> {
     machine: &'a Machine,
     block: &'a CodeBlock,
@@ -762,25 +1025,34 @@ struct SchedState<'a> {
     live_count: usize,
     /// Vreg-indexed remaining-use counts; 0 means untracked.
     uses_left: Vec<u32>,
-    /// Temporal edge indices bucketed by clock id, in edge order.
-    temporal_by_clock: Vec<Vec<usize>>,
+    /// Open temporal edges per clock (source issued, destination not),
+    /// in edge order: the group scan, Rule 1 and stall attribution
+    /// walk only these, never the clock's whole edge list.
+    open_edges: Vec<Vec<usize>>,
+    /// Rule-1 summary per clock, refreshed before each decision.
+    gates: Vec<Gate>,
     /// Reusable group resource-probe buffer.
     extra: Vec<ResSet>,
     /// Exactly the instructions for which [`SchedState::is_ready`]
-    /// holds, maintained incrementally; `ready_pos[i]` is `i`'s slot
-    /// (or `u32::MAX`) so placement removes in O(1). Membership can
-    /// only end by issuing: `earliest` never moves once `pred_left`
-    /// hits zero and `t` never decreases.
-    ready: Vec<usize>,
-    ready_pos: Vec<u32>,
+    /// holds, maintained incrementally. Membership can only end by
+    /// issuing: `earliest` never moves once `pred_left` hits zero and
+    /// `t` never decreases.
+    ready: ReadySet,
     /// Instructions whose predecessors all issued but whose operands
     /// land at a future cycle, keyed by that cycle.
     pending: BinaryHeap<Reverse<(u32, usize)>>,
-    /// Open temporal edges per clock (source issued, destination
-    /// not): the group scan, Rule 1 and stall attribution all probe
-    /// "is anything open on this clock" — a counter answers that
-    /// without walking the clock's edge bucket.
-    open_clock_edges: Vec<u32>,
+    /// Per-instruction hazard log: the cycles an instruction was ready
+    /// but could not issue, with the reason. Together with the
+    /// dependence wait derived afterwards this tiles
+    /// `[ready_cycle, issue_cycle)` exactly.
+    hazard: Vec<Vec<Stall>>,
+    /// The debug-build oracle for `hazard`: every ready instruction's
+    /// [`SchedState::stall_reason_at`] logged cycle by cycle.
+    #[cfg(debug_assertions)]
+    shadow: Vec<Vec<Stall>>,
+    /// Bucket heads and individually attributed instructions examined
+    /// ([`SchedMetrics::pick_probes`]).
+    probes: usize,
     local_limit: Option<usize>,
     ignore_rule1: bool,
     peak_pressure: usize,
@@ -801,12 +1073,11 @@ impl<'a> SchedState<'a> {
         scratch.timeline = self.timeline;
         scratch.live_local = self.live_local;
         scratch.uses_left = self.uses_left;
-        scratch.temporal_by_clock = self.temporal_by_clock;
+        scratch.open_edges = self.open_edges;
+        scratch.gates = self.gates;
         scratch.extra = self.extra;
         scratch.ready = self.ready;
-        scratch.ready_pos = self.ready_pos;
         scratch.pending = self.pending;
-        scratch.open_clock_edges = self.open_clock_edges;
         scratch.dests = dests;
         (self.cycles, self.inst_cycle, self.peak_pressure)
     }
@@ -815,10 +1086,10 @@ impl<'a> SchedState<'a> {
     /// source scheduled, destination not.
     fn open_dests_into(&self, clock: ClockId, out: &mut Vec<usize>) {
         out.clear();
-        for &ei in &self.temporal_by_clock[clock.0 as usize] {
-            let e = &self.dag.edges[ei];
-            if self.scheduled[e.from] && !self.scheduled[e.to] && !out.contains(&e.to) {
-                out.push(e.to);
+        for &ei in &self.open_edges[clock.0 as usize] {
+            let to = self.dag.edges[ei].to;
+            if !out.contains(&to) {
+                out.push(to);
             }
         }
     }
@@ -828,18 +1099,12 @@ impl<'a> SchedState<'a> {
     }
 
     fn push_ready(&mut self, i: usize) {
-        self.ready_pos[i] = self.ready.len() as u32;
-        self.ready.push(i);
-    }
-
-    fn remove_ready(&mut self, i: usize) {
-        let p = self.ready_pos[i] as usize;
-        let last = self.ready.pop().expect("ready list underflow");
-        if last != i {
-            self.ready[p] = last;
-            self.ready_pos[last] = p as u32;
-        }
-        self.ready_pos[i] = u32::MAX;
+        let delta = if self.local_limit.is_some() {
+            self.pressure_delta(i) as i32
+        } else {
+            0
+        };
+        self.ready.insert(i, delta, self.priority[i], self.t);
     }
 
     /// All of `j`'s predecessors have issued: make it ready now or
@@ -862,24 +1127,8 @@ impl<'a> SchedState<'a> {
         }
     }
 
-    fn resources_fit(&self, i: usize, extra: &[ResSet]) -> bool {
-        let t = self.machine.template(self.block.insts[i].template);
-        for (c, need) in t.rsrc.iter().enumerate() {
-            let at = self.t as usize + c;
-            let mut in_use = self.timeline.get(at).copied().unwrap_or(ResSet::EMPTY);
-            if let Some(e) = extra.get(c) {
-                in_use.union_with(e);
-            }
-            if in_use.intersects(need) {
-                return false;
-            }
-        }
-        true
-    }
-
-    fn class_fits(&self, i: usize, word: Option<ResSet>) -> (bool, Option<ResSet>) {
-        let t = self.machine.template(self.block.insts[i].template);
-        match t.class {
+    fn class_fits(&self, tmpl: TemplateId, word: Option<ResSet>) -> (bool, Option<ResSet>) {
+        match self.machine.template(tmpl).class {
             None => (true, word),
             Some(cid) => {
                 let elems = self.machine.class(cid).elements;
@@ -894,6 +1143,38 @@ impl<'a> SchedState<'a> {
         }
     }
 
+    /// Whether `tmpl` fits this cycle's resources and word class.
+    fn verdict(&self, tmpl: TemplateId) -> Verdict {
+        let t = self.machine.template(tmpl);
+        for (c, need) in t.rsrc.iter().enumerate() {
+            let at = self.t as usize + c;
+            let in_use = self.timeline.get(at).copied().unwrap_or(ResSet::EMPTY);
+            let clash = in_use.intersection(need);
+            if !clash.is_empty() {
+                let resource = clash.iter().next().expect("a non-empty clash");
+                return Verdict::Resource(resource);
+            }
+        }
+        if !self.class_fits(tmpl, self.word_elems).0 {
+            return Verdict::Class;
+        }
+        Verdict::Fits
+    }
+
+    /// [`SchedState::verdict`] of local template `lt`, computed once
+    /// per decision.
+    fn memo_verdict(&mut self, lt: u32) -> Verdict {
+        let local = self.ready.templates[lt as usize];
+        if local.stamp == self.ready.stamp {
+            return local.verdict;
+        }
+        let verdict = self.verdict(local.id);
+        let local = &mut self.ready.templates[lt as usize];
+        local.stamp = self.ready.stamp;
+        local.verdict = verdict;
+        verdict
+    }
+
     /// Rule 1 (paper §4.6): if there is a temporal edge `(x, y)` based
     /// on clock `k` and `x` has been scheduled, an instruction `z ≠ y`
     /// that affects `k` may not be scheduled before `y` — but may be
@@ -901,7 +1182,9 @@ impl<'a> SchedState<'a> {
     /// only if every open temporal edge on `k` (other than one ending
     /// at `z` itself) has its source issued in this same cycle, so the
     /// pending latch value is consumed by the same clock tick `z`
-    /// rides on.
+    /// rides on. The picks apply it per clock through [`Gate`]; this
+    /// per-instruction form is their debug-build oracle.
+    #[cfg(debug_assertions)]
     fn rule1_allows(&self, i: usize) -> bool {
         if self.ignore_rule1 {
             return true;
@@ -913,30 +1196,60 @@ impl<'a> SchedState<'a> {
         else {
             return true;
         };
-        if self.open_clock_edges[k.0 as usize] == 0 {
-            return true;
-        }
-        for &ei in &self.temporal_by_clock[k.0 as usize] {
+        self.open_edges[k.0 as usize].iter().all(|&ei| {
             let e = &self.dag.edges[ei];
-            if self.scheduled[e.from]
-                && !self.scheduled[e.to]
-                && e.to != i
-                && self.inst_cycle[e.from] != self.t
-            {
-                return false;
-            }
-        }
-        true
+            e.to == i || self.inst_cycle[e.from] == self.t
+        })
     }
 
-    /// IPS pressure check: would scheduling `i` push live local vregs
-    /// past the limit?
-    fn pressure_allows(&self, i: usize) -> bool {
-        let Some(limit) = self.local_limit else {
-            return true;
-        };
-        let delta = self.pressure_delta(i);
-        self.live_count as i64 + delta <= limit as i64
+    /// Summarises Rule 1 per clock for the coming decision.
+    fn refresh_gates(&mut self) {
+        if self.ignore_rule1 {
+            return;
+        }
+        for k in 0..self.gates.len() {
+            let mut gate = Gate::default();
+            for &ei in &self.open_edges[k] {
+                let e = &self.dag.edges[ei];
+                if self.inst_cycle[e.from] == self.t {
+                    continue;
+                }
+                match gate.first {
+                    None => gate.first = Some(ei),
+                    Some(f) if self.dag.edges[f].to != e.to => {
+                        gate.many = true;
+                        break;
+                    }
+                    Some(_) => {}
+                }
+            }
+            self.gates[k] = gate;
+        }
+    }
+
+    /// The open temporal edge that holds back instructions affecting
+    /// `clock` this cycle, if any.
+    fn gate_edge(&self, clock: Option<ClockId>) -> Option<usize> {
+        if self.ignore_rule1 {
+            return None;
+        }
+        self.gates[clock?.0 as usize].first
+    }
+
+    /// The ready destination of clock `k`'s first qualifying edge when
+    /// its template affects `k`: the one instruction its gated bucket
+    /// cannot speak for.
+    fn exempt(&self, k: usize) -> Option<usize> {
+        let d = self.dag.edges[self.gates[k].first?].to;
+        let local = self.ready.templates[self.ready.tmpl[d] as usize];
+        (self.ready.bucket[d] != NONE && local.clock == Some(ClockId(k as u32))).then_some(d)
+    }
+
+    /// IPS pressure check: would an instruction with this delta push
+    /// live local vregs past the limit?
+    fn pressure_fits(&self, delta: i64) -> bool {
+        self.local_limit
+            .is_none_or(|limit| self.live_count as i64 + delta <= limit as i64)
     }
 
     fn pressure_delta(&self, i: usize) -> i64 {
@@ -964,54 +1277,114 @@ impl<'a> SchedState<'a> {
         delta
     }
 
-    fn pick_candidate(&mut self, remaining: usize) -> Option<usize> {
-        let mut best: Option<usize> = None;
-        let mut relax_best: Option<usize> = None;
-        // The winner is the maximum of a total order (priority, then
-        // lowest index), so walking the unordered ready list picks the
-        // same instruction the full 0..n scan did.
-        for idx in 0..self.ready.len() {
-            let i = self.ready[idx];
-            debug_assert!(self.is_ready(i));
-            if !self.rule1_allows(i) {
-                continue;
-            }
-            if !self.resources_fit(i, &[]) {
-                continue;
-            }
-            if !self.class_fits(i, self.word_elems).0 {
-                continue;
-            }
-            let better = |cur: Option<usize>| {
-                cur.is_none_or(|b| {
-                    (self.priority[i], std::cmp::Reverse(i))
-                        > (self.priority[b], std::cmp::Reverse(b))
-                })
-            };
-            if self.pressure_allows(i) {
-                if better(best) {
-                    best = Some(i);
-                }
-            } else if better(relax_best) {
-                relax_best = Some(i);
-            }
+    /// Keeps `i` as the best (pressure allows it) or the best relaxed
+    /// candidate when it beats the current one under the total order
+    /// (priority, then lowest index).
+    fn offer(&self, i: usize, delta: i64, best: &mut Option<usize>, relax: &mut Option<usize>) {
+        let slot = if self.pressure_fits(delta) {
+            best
+        } else {
+            relax
+        };
+        if slot.is_none_or(|b| (self.priority[i], Reverse(i)) > (self.priority[b], Reverse(b))) {
+            *slot = Some(i);
         }
-        // When the register limit blocks everything *and* advancing
-        // time cannot make anything new ready (every unscheduled
-        // instruction either is already ready-but-blocked or waits on
-        // a blocked producer), exceed the limit rather than deadlock
-        // (Goodman–Hsu switch from CSP to CSR).
-        if best.is_none() && remaining > 0 {
-            if let Some(r) = relax_best {
-                // The pending heap holds exactly the released-but-not-
-                // arrived instructions, i.e. the old full-scan
-                // "ready-once-time-advances" set.
-                if self.pending.is_empty() {
-                    return Some(r);
-                }
-            }
+    }
+
+    /// When the register limit blocks everything *and* advancing time
+    /// cannot make anything new ready (every unscheduled instruction
+    /// either is already ready-but-blocked or waits on a blocked
+    /// producer), exceed the limit rather than deadlock (Goodman–Hsu
+    /// switch from CSP to CSR). The pending heap holds exactly the
+    /// released-but-not-arrived instructions.
+    fn choose(&self, best: Option<usize>, relax: Option<usize>, remaining: usize) -> Option<usize> {
+        if best.is_none() && remaining > 0 && self.pending.is_empty() {
+            return relax;
         }
         best
+    }
+
+    /// The ready instruction to issue next: the maximum of the total
+    /// order among those that pass Rule 1, resources, class and
+    /// pressure, found from bucket heads.
+    fn pick_candidate(&mut self, remaining: usize) -> Option<usize> {
+        self.ready.stamp += 1;
+        self.refresh_gates();
+        let (mut best, mut relax) = (None, None);
+        for b in 0..self.ready.nbuckets {
+            let bucket = &self.ready.buckets[b];
+            let (lt, delta) = (bucket.tmpl, bucket.delta);
+            if bucket.len == 0
+                || self
+                    .gate_edge(self.ready.templates[lt as usize].clock)
+                    .is_some()
+                || self.memo_verdict(lt) != Verdict::Fits
+            {
+                continue;
+            }
+            let i = self.ready.head(b);
+            self.probes += 1;
+            self.offer(i, delta.into(), &mut best, &mut relax);
+        }
+        // A gate with a single destination lets that one instruction
+        // through.
+        if !self.ignore_rule1 {
+            for k in 0..self.gates.len() {
+                if self.gates[k].many {
+                    continue;
+                }
+                let Some(d) = self.exempt(k) else {
+                    continue;
+                };
+                self.probes += 1;
+                if self.memo_verdict(self.ready.tmpl[d]) == Verdict::Fits {
+                    self.offer(d, self.ready.delta[d].into(), &mut best, &mut relax);
+                }
+            }
+        }
+        let pick = self.choose(best, relax, remaining);
+        // A `None` pick ends the cycle; `attribute_stalls` then checks
+        // that every ready instruction really is blocked.
+        #[cfg(debug_assertions)]
+        if let Some(p) = pick {
+            debug_assert_eq!(
+                pick,
+                self.pick_linear(p, remaining),
+                "bucketed pick diverged from the linear scan at cycle {}",
+                self.t
+            );
+        }
+        pick
+    }
+
+    /// The debug-build oracle for a [`SchedState::pick_candidate`]
+    /// that found `pick`: the linear-scan decision over the ready
+    /// instructions, each checked on its own with its pressure delta
+    /// derived afresh. Instructions ranked below a `pick` that the
+    /// pressure limit allows cannot change the decision, so they are
+    /// skipped.
+    #[cfg(debug_assertions)]
+    fn pick_linear(&self, pick: usize, remaining: usize) -> Option<usize> {
+        let rank = |j: usize| (self.priority[j], Reverse(j));
+        let floor = Some(pick).filter(|&p| self.pressure_fits(self.pressure_delta(p)));
+        let (mut best, mut relax) = (None, None);
+        let mut members = 0;
+        for b in 0..self.ready.nbuckets {
+            for i in self.ready.members(b) {
+                members += 1;
+                debug_assert!(self.is_ready(i), "{i} is in the ready set but not ready");
+                if floor.is_some_and(|p| rank(i) < rank(p)) {
+                    continue;
+                }
+                if self.rule1_allows(i)
+                    && self.verdict(self.block.insts[i].template) == Verdict::Fits
+                {
+                    self.offer(i, self.pressure_delta(i), &mut best, &mut relax);
+                }
+            }
+        }
+        debug_assert_eq!(members, self.ready.len);
+        self.choose(best, relax, remaining)
     }
 
     /// Attempts to place an entire temporal group this cycle.
@@ -1033,17 +1406,9 @@ impl<'a> SchedState<'a> {
             else {
                 continue;
             };
-            if self.open_clock_edges[k.0 as usize] == 0 {
-                continue;
-            }
-            for &ei in &self.temporal_by_clock[k.0 as usize] {
+            for &ei in &self.open_edges[k.0 as usize] {
                 let e = &self.dag.edges[ei];
-                if self.scheduled[e.from]
-                    && !self.scheduled[e.to]
-                    && e.to != d
-                    && !dests.contains(&e.to)
-                    && self.inst_cycle[e.from] != self.t
-                {
+                if e.to != d && !dests.contains(&e.to) && self.inst_cycle[e.from] != self.t {
                     return false;
                 }
             }
@@ -1067,13 +1432,13 @@ impl<'a> SchedState<'a> {
     fn group_resources_fit(&self, dests: &[usize], extra: &mut Vec<ResSet>) -> bool {
         let mut word = self.word_elems;
         for &d in dests {
-            let t = self.machine.template(self.block.insts[d].template);
-            let (ok, new_word) = self.class_fits(d, word);
+            let tmpl = self.block.insts[d].template;
+            let (ok, new_word) = self.class_fits(tmpl, word);
             if !ok {
                 return false;
             }
             word = new_word;
-            for (c, need) in t.rsrc.iter().enumerate() {
+            for (c, need) in self.machine.template(tmpl).rsrc.iter().enumerate() {
                 if extra.len() <= c {
                     extra.resize(c + 1, ResSet::EMPTY);
                 }
@@ -1095,7 +1460,7 @@ impl<'a> SchedState<'a> {
 
     fn place(&mut self, i: usize) {
         debug_assert!(!self.scheduled[i]);
-        self.remove_ready(i);
+        self.ready.remove(i, self.t, &mut self.hazard[i]);
         // Reborrow through the 'a references so the operand iterators
         // below don't hold `&self` across the map mutations.
         let block = self.block;
@@ -1111,7 +1476,7 @@ impl<'a> SchedState<'a> {
             self.timeline[at].union_with(need);
         }
         // Commit the word class.
-        let (_, word) = self.class_fits(i, self.word_elems);
+        let (_, word) = self.class_fits(inst.template, self.word_elems);
         self.word_elems = word;
         // Record.
         self.scheduled[i] = true;
@@ -1120,32 +1485,13 @@ impl<'a> SchedState<'a> {
             self.cycles.push(Vec::new());
         }
         self.cycles[self.t as usize].push(i);
-        // Release successors. The last releasing edge fixes the
-        // successor's `earliest` for good, so it can be enqueued at
-        // exactly that arrival cycle. Issuing a temporal source opens
-        // its edge (the destination cannot have issued first — it
-        // depends on the source); issuing a destination closes every
-        // temporal edge into it.
-        for &ei in &self.dag.succs[i] {
-            let e = self.dag.edges[ei];
-            if let EdgeKind::TrueTemporal(k) = e.kind {
-                self.open_clock_edges[k.0 as usize] += 1;
-            }
-            self.pred_left[e.to] -= 1;
-            self.earliest[e.to] = self.earliest[e.to].max(self.t + e.latency);
-            if self.pred_left[e.to] == 0 {
-                self.release(e.to);
-            }
-        }
-        for &ei in &self.dag.preds[i] {
-            if let EdgeKind::TrueTemporal(k) = self.dag.edges[ei].kind {
-                self.open_clock_edges[k.0 as usize] -= 1;
-            }
-        }
-        // Pressure bookkeeping. `live_count` tracks the number of
+        // Pressure bookkeeping, before any successor is released so its
+        // delta sees this placement. `live_count` tracks the number of
         // `true` liveness flags incrementally: uses first (a final use
-        // kills its vreg), then defs (a def of a still-used local
-        // makes it live).
+        // kills its vreg), then defs (a def of a still-used local makes
+        // it live). A use leaving `uses_left` at 1 or 0, and any
+        // liveness change, flips a predicate `pressure_delta` reads.
+        self.ready.flipped.clear();
         for op in inst.use_operands(machine) {
             if let Operand::Vreg(v) | Operand::VregHalf(v, _) = *op {
                 let vi = v.0 as usize;
@@ -1154,6 +1500,9 @@ impl<'a> SchedState<'a> {
                     if self.uses_left[vi] == 0 && self.live_local[vi] {
                         self.live_local[vi] = false;
                         self.live_count -= 1;
+                    }
+                    if self.uses_left[vi] <= 1 {
+                        self.ready.flipped.push(v.0);
                     }
                 }
             }
@@ -1167,14 +1516,69 @@ impl<'a> SchedState<'a> {
                 {
                     self.live_local[vi] = true;
                     self.live_count += 1;
+                    self.ready.flipped.push(v.0);
                 }
             }
         }
         self.peak_pressure = self.peak_pressure.max(self.live_count);
+        if self.local_limit.is_some() {
+            self.update_deltas();
+        }
+        // Release successors. The last releasing edge fixes the
+        // successor's `earliest` for good, so it can be enqueued at
+        // exactly that arrival cycle. Issuing a temporal source opens
+        // its edge (the destination cannot have issued first — it
+        // depends on the source); issuing a destination closes every
+        // temporal edge into it.
+        for &ei in &self.dag.succs[i] {
+            let e = self.dag.edges[ei];
+            if let EdgeKind::TrueTemporal(k) = e.kind {
+                let open = &mut self.open_edges[k.0 as usize];
+                let at = open.partition_point(|&x| x < ei);
+                open.insert(at, ei);
+            }
+            self.pred_left[e.to] -= 1;
+            self.earliest[e.to] = self.earliest[e.to].max(self.t + e.latency);
+            if self.pred_left[e.to] == 0 {
+                self.release(e.to);
+            }
+        }
+        for &ei in &self.dag.preds[i] {
+            if let EdgeKind::TrueTemporal(k) = self.dag.edges[ei].kind {
+                let open = &mut self.open_edges[k.0 as usize];
+                let at = open
+                    .iter()
+                    .position(|&x| x == ei)
+                    .expect("a temporal edge into an issuing instruction is open");
+                open.remove(at);
+            }
+        }
+    }
+
+    /// Moves each ready instruction that references a flipped vreg to
+    /// the bucket of its new pressure delta.
+    fn update_deltas(&mut self) {
+        let flipped = std::mem::take(&mut self.ready.flipped);
+        for &v in &flipped {
+            let v = v as usize;
+            let rows = self.ready.ref_start[v] as usize..self.ready.ref_start[v + 1] as usize;
+            for r in rows {
+                let j = self.ready.refs[r] as usize;
+                if self.ready.bucket[j] == NONE {
+                    continue;
+                }
+                let delta = self.pressure_delta(j) as i32;
+                if delta != self.ready.delta[j] {
+                    self.ready.remove(j, self.t, &mut self.hazard[j]);
+                    self.ready.insert(j, delta, self.priority[j], self.t);
+                }
+            }
+        }
+        self.ready.flipped = flipped;
     }
 
     fn advance_cycle(&mut self) {
-        if self.ready.is_empty() {
+        if self.ready.len == 0 {
             // Nothing can issue until an in-flight result lands: jump
             // straight to the next arrival. The skipped cycles are
             // provably empty, so the schedule is identical — only the
@@ -1195,53 +1599,105 @@ impl<'a> SchedState<'a> {
         }
     }
 
-    /// Why a ready instruction cannot issue in the current cycle,
-    /// mirroring [`SchedState::pick_candidate`]'s check order (Rule 1,
-    /// resources, packing, pressure); the first failing check is the
-    /// recorded reason. Called only at cycle-advance time, when the
-    /// inner placement loop has reached a fixpoint, so at least one
-    /// check fails for every ready instruction; `Other` is a
-    /// defensive fallback.
-    fn stall_reason_at(&self, i: usize) -> StallReason {
-        if !self.ignore_rule1 {
-            if let Some(k) = self
-                .machine
-                .template(self.block.insts[i].template)
-                .affects_clock
+    /// Logs why each ready instruction could not issue in the cycle
+    /// that is ending. Called once the placement loop has reached a
+    /// fixpoint. Each bucket logs the reason its members share; the
+    /// destination of a clock's first qualifying temporal edge, the
+    /// only member a bucket's Rule-1 reason can misdescribe, is
+    /// attributed on its own.
+    fn attribute_stalls(&mut self) {
+        self.ready.stamp += 1;
+        self.refresh_gates();
+        for b in 0..self.ready.nbuckets {
+            if self.ready.buckets[b].len == 0 {
+                continue;
+            }
+            self.probes += 1;
+            let reason = self.bucket_reason(b);
+            #[cfg(debug_assertions)]
             {
-                if self.open_clock_edges[k.0 as usize] > 0 {
-                    for &ei in &self.temporal_by_clock[k.0 as usize] {
-                        let e = &self.dag.edges[ei];
-                        if self.scheduled[e.from]
-                            && !self.scheduled[e.to]
-                            && e.to != i
-                            && self.inst_cycle[e.from] != self.t
-                        {
-                            return StallReason::Temporal {
-                                clock: k,
-                                pending_src: e.from,
-                                pending_dst: e.to,
-                            };
-                        }
+                let mut shadow = std::mem::take(&mut self.shadow);
+                for i in self.ready.members(b) {
+                    let own = self.stall_reason_at(i);
+                    let clock = self.ready.templates[self.ready.tmpl[i] as usize].clock;
+                    let exempt = !self.ignore_rule1
+                        && clock.is_some_and(|k| self.exempt(k.0 as usize) == Some(i));
+                    debug_assert!(
+                        exempt || own == reason,
+                        "bucket stall reason {reason:?} wrong for {i} ({own:?}) at cycle {}",
+                        self.t
+                    );
+                    // The cycle's last pick found nothing: the linear
+                    // scan must agree that nothing could issue.
+                    debug_assert!(
+                        own != StallReason::Other
+                            && (own != StallReason::RegPressure || !self.pending.is_empty()),
+                        "{i} could have issued at cycle {} ({own:?})",
+                        self.t
+                    );
+                    log_stall(&mut shadow[i], self.t, 1, own);
+                }
+                self.shadow = shadow;
+            }
+            log_stall(&mut self.ready.buckets[b].log, self.t, 1, reason);
+        }
+        if self.ignore_rule1 {
+            return;
+        }
+        for k in 0..self.gates.len() {
+            let Some(d) = self.exempt(k) else {
+                continue;
+            };
+            self.probes += 1;
+            let reason = self.stall_reason_at(d);
+            self.ready.flush(d, self.t, &mut self.hazard[d]);
+            log_stall(&mut self.hazard[d], self.t, 1, reason);
+            self.ready.since[d] = self.t + 1;
+        }
+    }
+
+    /// The stall reason of bucket `b`'s members this cycle (all but an
+    /// exempt destination, see [`SchedState::attribute_stalls`]).
+    fn bucket_reason(&mut self, b: usize) -> StallReason {
+        let (lt, delta) = (self.ready.buckets[b].tmpl, self.ready.buckets[b].delta);
+        if let Some(k) = self.ready.templates[lt as usize].clock {
+            if let Some(ei) = self.gate_edge(Some(k)) {
+                let e = &self.dag.edges[ei];
+                return StallReason::Temporal {
+                    clock: k,
+                    pending_src: e.from,
+                    pending_dst: e.to,
+                };
+            }
+        }
+        let fits = self.pressure_fits(delta.into());
+        self.memo_verdict(lt).reason(fits)
+    }
+
+    /// Why ready instruction `i` cannot issue in the current cycle,
+    /// mirroring the pick's check order (Rule 1, resources, packing,
+    /// pressure); the first failing check is the recorded reason.
+    /// Called only at cycle-advance time, when the inner placement
+    /// loop has reached a fixpoint, so at least one check fails for
+    /// every ready instruction; `Other` is a defensive fallback.
+    fn stall_reason_at(&self, i: usize) -> StallReason {
+        let tmpl = self.block.insts[i].template;
+        if !self.ignore_rule1 {
+            if let Some(k) = self.machine.template(tmpl).affects_clock {
+                for &ei in &self.open_edges[k.0 as usize] {
+                    let e = &self.dag.edges[ei];
+                    if e.to != i && self.inst_cycle[e.from] != self.t {
+                        return StallReason::Temporal {
+                            clock: k,
+                            pending_src: e.from,
+                            pending_dst: e.to,
+                        };
                     }
                 }
             }
         }
-        let t = self.machine.template(self.block.insts[i].template);
-        for (c, need) in t.rsrc.iter().enumerate() {
-            let at = self.t as usize + c;
-            let in_use = self.timeline.get(at).copied().unwrap_or(ResSet::EMPTY);
-            if let Some(r) = in_use.intersection(need).iter().next() {
-                return StallReason::Resource { resource: r };
-            }
-        }
-        if !self.class_fits(i, self.word_elems).0 {
-            return StallReason::ClassPacking;
-        }
-        if !self.pressure_allows(i) {
-            return StallReason::RegPressure;
-        }
-        StallReason::Other
+        self.verdict(tmpl)
+            .reason(self.pressure_fits(self.pressure_delta(i)))
     }
 }
 

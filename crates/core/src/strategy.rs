@@ -242,6 +242,7 @@ fn record_sched_pass(
                 ("edges_mem", Value::from(m.edges_mem)),
                 ("edges_order", Value::from(m.edges_order)),
                 ("ready_high_water", Value::from(m.ready_high_water)),
+                ("pick_probes", Value::from(m.pick_probes)),
                 ("stall_cycles", Value::from(m.stall_cycles)),
                 ("temporal_groups", Value::from(m.temporal_groups)),
                 ("issue_slots_used", Value::from(m.issue_slots_used)),

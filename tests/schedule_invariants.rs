@@ -10,6 +10,8 @@
 
 use marion::backend::{audit_schedule, sched::Schedule};
 use marion::backend::{dag::build_dag, regalloc::allocate, sched, select::select_func};
+use marion::backend::{CompileOptions, Compiler, StrategyKind};
+use marion::trace::TraceConfig;
 use marion::workloads::gen::{random_program, GenConfig};
 use marion_rng::SplitMix64;
 
@@ -145,5 +147,110 @@ fn serial_fallback_schedules_are_valid_too() {
             }
             assert_stalls_account("i860", &schedule);
         }
+    }
+}
+
+/// A straight-line `main` of `stmts` assignments over 16 `int`
+/// variables, all folded into the result so every one stays live to
+/// the end: one block whose register pressure the IPS limit binds.
+fn straight_line(stmts: u32) -> String {
+    let mut rng = SplitMix64::new(u64::from(stmts));
+    let mut src = String::from("int main() {\n");
+    for v in 0..16 {
+        src.push_str(&format!("    int v{v} = {};\n", rng.below(100)));
+    }
+    let ops = ["+", "-", "*", "&", "^", "|"];
+    for _ in 0..stmts {
+        let (d, a, b) = (rng.below(16), rng.below(16), rng.below(16));
+        let (o1, o2) = (ops[rng.index(ops.len())], ops[rng.index(ops.len())]);
+        let c = rng.below(90) + 1;
+        src.push_str(&format!("    v{d} = (v{a} {o1} v{b}) {o2} {c};\n"));
+    }
+    let all: Vec<String> = (0..16).map(|v| format!("v{v}")).collect();
+    src.push_str(&format!("    return {};\n}}\n", all.join(" ^ ")));
+    src
+}
+
+/// The list scheduler's debug-build oracles: every pick from the
+/// bucketed ready set must equal the linear-scan maximum over the
+/// ready instructions, and every stall a bucket attributes must equal
+/// each member's own `stall_reason_at`, its whole stall log included.
+/// Compiling with all three strategies schedules without a limit
+/// (Postpass, every final pass), under the IPS limit (the IPS
+/// prepass) and under RASE's tight limit (its estimate pass). The
+/// checks are `debug_assert`s, so a release-mode run only compiles.
+#[test]
+fn bucketed_ready_set_matches_its_linear_oracle() {
+    let mut modules: Vec<(String, marion::ir::Module)> = marion::workloads::livermore::kernels()
+        .iter()
+        .map(|k| (k.name.clone(), k.module()))
+        .collect();
+    let block = marion::frontend::compile(&straight_line(300)).unwrap();
+    modules.push(("straight_line(300)".to_string(), block));
+    for machine in marion::machines::EXTENDED {
+        let spec = marion::machines::load(machine);
+        for strategy in [
+            StrategyKind::Postpass,
+            StrategyKind::Ips,
+            StrategyKind::Rase,
+        ] {
+            let compiler = Compiler::new(spec.machine.clone(), spec.escapes.clone(), strategy);
+            for (name, module) in &modules {
+                compiler
+                    .compile_module(module)
+                    .unwrap_or_else(|e| panic!("{machine}/{strategy:?}/{name}: {e}"));
+            }
+        }
+    }
+}
+
+/// Ready-set work per pick (`pick_probes` over instructions issued in
+/// the IPS prepass) stays flat from 250 to 1000 statements, where the
+/// ready list itself grows about 3.5x: a scheduler that walks the
+/// whole ready list per pick fails this on any host.
+#[test]
+fn pick_probes_per_pick_stay_flat_as_blocks_grow() {
+    for machine in ["r2000", "i860"] {
+        let spec = marion::machines::load(machine);
+        let compiler = Compiler::with_options(
+            spec.machine.clone(),
+            spec.escapes.clone(),
+            StrategyKind::Ips,
+            CompileOptions {
+                trace: Some(TraceConfig::default()),
+                ..CompileOptions::default()
+            },
+        );
+        let probes_per_pick = |stmts: u32| {
+            let module = marion::frontend::compile(&straight_line(stmts)).unwrap();
+            let program = compiler.compile_module(&module).unwrap();
+            let trace = program.trace.expect("tracing was on");
+            let (mut probes, mut picks, mut ready) = (0, 0, 0);
+            for (_, fields) in trace.events_named("sched_block") {
+                let get = |key: &str| {
+                    fields
+                        .iter()
+                        .find(|(k, _)| k == key)
+                        .map(|(_, v)| v)
+                        .unwrap_or_else(|| panic!("sched_block without {key}"))
+                };
+                if get("pass").as_str() != Some("sched:ips-prepass") {
+                    continue;
+                }
+                let int = |key: &str| get(key).as_int().expect("integer field");
+                probes += int("pick_probes");
+                picks += int("insts");
+                ready = ready.max(int("ready_high_water"));
+            }
+            assert!(picks > 0, "{machine}: no IPS prepass blocks");
+            (probes as f64 / picks as f64, ready)
+        };
+        let ((small, small_ready), (large, large_ready)) =
+            (probes_per_pick(250), probes_per_pick(1000));
+        assert!(
+            large <= 1.5 * small,
+            "{machine}: {small:.1} probes per pick at 250 statements (ready list up to \
+             {small_ready}), {large:.1} at 1000 (up to {large_ready})"
+        );
     }
 }
