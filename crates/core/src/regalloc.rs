@@ -25,7 +25,7 @@
 use crate::code::*;
 use crate::dense::{BitMatrix, BitSet, Csr};
 use crate::error::{CodegenError, Phase};
-use marion_maril::{Machine, PhysReg};
+use marion_maril::{Machine, PhysReg, RegClassId, TemplateId};
 use marion_trace::Tracer;
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap};
@@ -49,6 +49,13 @@ pub struct AllocResult {
     /// Total loop-weighted occurrence cost of the vregs chosen for
     /// spilling (0.0 when nothing spilled).
     pub spill_cost: f64,
+    /// Per-vreg work of the spill rewrites, total across retries:
+    /// occurrences visited, nodes probed to extend half-register runs,
+    /// and spill loads/stores linked in. Each round also makes one
+    /// indexing pass over the function and one flattening pass over
+    /// the blocks it rewrote; those are O(instructions) per round, like
+    /// the interference build, and not counted here.
+    pub spill_visits: usize,
 }
 
 fn err(msg: impl Into<String>) -> CodegenError {
@@ -129,9 +136,10 @@ pub fn allocate_traced(
                 // up — the site is structurally over-committed.
                 let _m = tracer.mspan("evict_scan");
                 let mut to_spill: Vec<Vreg> = Vec::new();
+                let mut queued = vec![false; graph.nv];
                 for v in vregs {
                     if !no_spill[v.0 as usize] {
-                        if !to_spill.contains(&v) {
+                        if !std::mem::replace(&mut queued[v.0 as usize], true) {
                             to_spill.push(v);
                         }
                         continue;
@@ -164,7 +172,7 @@ pub fn allocate_traced(
                         .map(|n| Vreg(*n));
                     match neighbor {
                         Some(n) => {
-                            if !to_spill.contains(&n) {
+                            if !std::mem::replace(&mut queued[n.0 as usize], true) {
                                 to_spill.push(n);
                             }
                         }
@@ -180,12 +188,36 @@ pub fn allocate_traced(
                 let _m = tracer.mspan("spill_rewrite");
                 for v in &to_spill {
                     result.spill_cost += graph.cost[v.0 as usize];
-                    let first_temp = func.vregs.len();
-                    spill_vreg(machine, func, *v)?;
-                    no_spill.resize(func.vregs.len(), false);
-                    for flag in &mut no_spill[first_temp..] {
-                        *flag = true;
-                    }
+                }
+                // The per-vreg rewrite is the oracle for the batched
+                // one: same instructions, vreg table and frame.
+                #[cfg(debug_assertions)]
+                let reference = {
+                    let mut f = func.clone();
+                    let ok = to_spill
+                        .iter()
+                        .try_for_each(|v| spill_vreg(machine, &mut f, *v))
+                        .is_ok();
+                    (f, ok)
+                };
+                let first_temp = func.vregs.len();
+                let outcome = spill_round(machine, func, &to_spill);
+                #[cfg(debug_assertions)]
+                {
+                    let (want, ok) = reference;
+                    assert!(
+                        want.blocks == func.blocks
+                            && want.vregs == func.vregs
+                            && want.spill_size == func.spill_size
+                            && ok == outcome.is_ok(),
+                        "{}: batched spill rewrite of {to_spill:?} differs from spill_vreg",
+                        func.name
+                    );
+                }
+                result.spill_visits += outcome?;
+                no_spill.resize(func.vregs.len(), false);
+                for flag in &mut no_spill[first_temp..] {
+                    *flag = true;
                 }
                 result.spills += to_spill.len();
             }
@@ -443,6 +475,17 @@ fn color(
         }
     }
     let occ_total = graph.occurs.len();
+    // Optimistic-spill cost per vreg, summed once per call so the
+    // candidate scan below reads a dense vector, not the hash map.
+    let mut spill_cost = graph.cost.clone();
+    for (v, extra) in extra_cost {
+        if let Some(c) = spill_cost.get_mut(v.0 as usize) {
+            *c += extra;
+        }
+    }
+    for (c, _) in spill_cost.iter_mut().zip(no_spill).filter(|(_, ns)| **ns) {
+        *c += 1e12;
+    }
 
     // Simplify with optimistic push (Briggs). Degrees only decrease,
     // so the low-degree set grows monotonically: a min-id heap seeded
@@ -480,13 +523,8 @@ fn color(
                     if removed[v] {
                         continue;
                     }
-                    let mut c =
-                        graph.cost[v] + extra_cost.get(&Vreg(v as u32)).copied().unwrap_or(0.0);
-                    if no_spill[v] {
-                        c += 1e12;
-                    }
                     let d = degree[v].max(1) as f64;
-                    let metric = c / d;
+                    let metric = spill_cost[v] / d;
                     if best.is_none_or(|(m, _)| metric < m) {
                         best = Some((metric, v as u32));
                     }
@@ -712,10 +750,12 @@ fn pure_copy_run(
     None
 }
 
-/// Spills `v`: allocate a slot, load before each use, store after each
-/// def, rewriting occurrences to fresh one-shot temporaries.
-fn spill_vreg(machine: &Machine, func: &mut CodeFunc, v: Vreg) -> Result<(), CodegenError> {
-    let class = func.vreg(v).class;
+/// The spill load and store templates for `class`, and the stack
+/// pointer the slot is addressed through.
+fn spill_templates(
+    machine: &Machine,
+    class: RegClassId,
+) -> Result<(TemplateId, TemplateId, PhysReg), CodegenError> {
     let load_t = machine.spill_load(class).ok_or_else(|| {
         err(format!(
             "no spill load for class `{}`",
@@ -732,65 +772,114 @@ fn spill_vreg(machine: &Machine, func: &mut CodeFunc, v: Vreg) -> Result<(), Cod
         .cwvm()
         .sp
         .ok_or_else(|| err("machine declares no stack pointer"))?;
-    let slot = func.new_spill_slot() as i64;
-    let kind = func.vreg(v).kind;
-    let _ = kind;
+    Ok((load_t, store_t, sp))
+}
 
-    for bi in 0..func.blocks.len() {
-        // Blocks that never mention `v` keep their instruction list
-        // untouched — no clone, no rebuild. Spilled vregs are almost
-        // always block-local, so this skips nearly the whole function.
-        if !func.blocks[bi].insts.iter().any(|inst| {
+/// A spill load or store (template `t`) moving `reg` from or to the
+/// slot at `sp + slot`.
+fn slot_inst(t: TemplateId, reg: Operand, sp: PhysReg, slot: i64) -> Inst {
+    Inst::new(
+        t,
+        vec![reg, Operand::Phys(sp), Operand::Imm(ImmVal::Const(slot))],
+    )
+}
+
+#[cfg(any(test, debug_assertions))]
+fn touches(inst: &Inst, v: Vreg) -> bool {
+    inst.ops
+        .iter()
+        .any(|op| matches!(op, Operand::Vreg(x) | Operand::VregHalf(x, _) if *x == v))
+}
+
+fn touches_half(inst: &Inst, v: Vreg) -> bool {
+    inst.ops
+        .iter()
+        .any(|op| matches!(op, Operand::VregHalf(x, _) if *x == v))
+}
+
+/// Renames `v` to the temporary `tmp` throughout `run`. Returns
+/// whether the run needs a load before it (it reads `v`, or writes
+/// only half of it and so must merge with the slot) and a store after
+/// it (it writes `v`).
+fn rename_run(machine: &Machine, run: &mut [Inst], v: Vreg, tmp: Vreg) -> (bool, bool) {
+    let mut run_uses = false;
+    let mut run_defs = false;
+    for inst in run.iter_mut() {
+        let t = machine.template(inst.template);
+        let is_v = |k: usize| {
+            matches!(inst.ops.get(k - 1),
+                Some(Operand::Vreg(x)) | Some(Operand::VregHalf(x, _)) if *x == v)
+        };
+        run_uses |= t.effects.uses.iter().any(|k| is_v(*k as usize));
+        run_defs |= t.effects.defs.iter().any(|k| is_v(*k as usize));
+        for op in &mut inst.ops {
+            match *op {
+                Operand::Vreg(x) if x == v => *op = Operand::Vreg(tmp),
+                Operand::VregHalf(x, h) if x == v => *op = Operand::VregHalf(tmp, h),
+                _ => {}
+            }
+        }
+    }
+    // A run that writes only part of the register (one half) must
+    // merge with the slot's existing contents.
+    let partial_def = run_defs
+        && run.iter().any(|inst| {
             inst.ops
                 .iter()
-                .any(|op| matches!(op, Operand::Vreg(x) | Operand::VregHalf(x, _) if *x == v))
-        }) {
+                .any(|op| matches!(op, Operand::VregHalf(..)))
+        });
+    (run_uses || partial_def, run_defs)
+}
+
+/// Spills `v`: allocate a slot, load before each use, store after each
+/// def, rewriting occurrences to fresh one-shot temporaries.
+///
+/// This is the per-vreg reference for [`spill_round`], which must
+/// leave an identical function (instructions, vreg table, frame) after
+/// spilling a list of vregs as this does after spilling them one by
+/// one. It rescans every block per vreg, so a round costs O(spills ×
+/// function size); debug builds run it beside every round.
+#[cfg(any(test, debug_assertions))]
+fn spill_vreg(machine: &Machine, func: &mut CodeFunc, v: Vreg) -> Result<(), CodegenError> {
+    let class = func.vreg(v).class;
+    let (load_t, store_t, sp) = spill_templates(machine, class)?;
+    let slot = func.new_spill_slot() as i64;
+    for bi in 0..func.blocks.len() {
+        if !func.blocks[bi].insts.iter().any(|inst| touches(inst, v)) {
             continue;
         }
-        // The old list is consumed in place: untouched instructions
-        // move (not clone) into the rebuilt list.
         let mut insts: Vec<Option<Inst>> = std::mem::take(&mut func.blocks[bi].insts)
             .into_iter()
             .map(Some)
             .collect();
+        fn at(insts: &[Option<Inst>], i: usize) -> &Inst {
+            insts[i].as_ref().expect("instruction already consumed")
+        }
         let mut new_insts: Vec<Inst> = Vec::with_capacity(insts.len());
-        // Group maximal runs of consecutive instructions touching `v`
-        // (a `*func` escape writes a pair register with two adjacent
-        // half-moves; the pair must be reloaded/stored as one unit).
+        // Group maximal runs of consecutive instructions touching `v`:
+        // one instruction per run, except half-register (escape pair)
+        // sequences, which must reload/store as one unit. Merging
+        // arbitrary touching neighbours would keep the temporary live
+        // through unrelated instructions and can make tiny register
+        // files uncolourable.
         let mut i = 0;
         while i < insts.len() {
-            let touches = |inst: &Inst| {
-                inst.ops
-                    .iter()
-                    .any(|op| matches!(op, Operand::Vreg(x) | Operand::VregHalf(x, _) if *x == v))
-            };
-            let touches_half = |inst: &Inst| {
-                inst.ops
-                    .iter()
-                    .any(|op| matches!(op, Operand::VregHalf(x, _) if *x == v))
-            };
-            if !touches(insts[i].as_ref().expect("instruction already consumed")) {
+            if !touches(at(&insts, i), v) {
                 new_insts.push(insts[i].take().expect("instruction already consumed"));
                 i += 1;
                 continue;
             }
-            // One instruction per run, except half-register (escape
-            // pair) sequences, which must reload/store as one unit.
-            // Merging arbitrary touching neighbours would keep the
-            // temporary live through unrelated instructions and can
-            // make tiny register files uncolourable.
             let mut j = i + 1;
-            if touches_half(insts[i].as_ref().expect("instruction already consumed")) {
-                while j < insts.len()
-                    && touches_half(insts[j].as_ref().expect("instruction already consumed"))
-                {
+            if touches_half(at(&insts, i), v) {
+                while j < insts.len() && touches_half(at(&insts, j), v) {
                     j += 1;
                 }
             }
-            let run: Vec<Inst> = insts[i..j]
+            let mut run: Vec<Inst> = insts[i..j]
                 .iter_mut()
                 .map(|s| s.take().expect("instruction already consumed"))
                 .collect();
+            i = j;
             // A run that merely copies between `v` and one physical
             // register (argument/result moves, including half-move
             // pairs from `*func` escapes) needs no temporary at all:
@@ -798,97 +887,249 @@ fn spill_vreg(machine: &Machine, func: &mut CodeFunc, v: Vreg) -> Result<(), Cod
             // register. This is what keeps call boundaries colourable
             // on machines whose register pairs cover the whole file.
             if let Some((phys, v_is_source)) = pure_copy_run(machine, &run, v, class) {
-                if v_is_source {
-                    // phys := v  ==>  load phys from the slot.
-                    new_insts.push(Inst::new(
-                        load_t,
-                        vec![
-                            Operand::Phys(phys),
-                            Operand::Phys(sp),
-                            Operand::Imm(ImmVal::Const(slot)),
-                        ],
-                    ));
-                } else {
-                    // v := phys  ==>  store phys to the slot.
-                    new_insts.push(Inst::new(
-                        store_t,
-                        vec![
-                            Operand::Phys(phys),
-                            Operand::Phys(sp),
-                            Operand::Imm(ImmVal::Const(slot)),
-                        ],
-                    ));
-                }
-                i = j;
+                let t = if v_is_source { load_t } else { store_t };
+                new_insts.push(slot_inst(t, Operand::Phys(phys), sp, slot));
                 continue;
             }
             let tmp = func.new_vreg(class, VregKind::Local);
-            let mut run_uses = false;
-            let mut run_defs = false;
-            let mut rewritten: Vec<Inst> = Vec::with_capacity(run.len());
-            for mut inst in run {
-                let t = machine.template(inst.template);
-                for k in &t.effects.uses {
-                    if let Some(Operand::Vreg(x)) | Some(Operand::VregHalf(x, _)) =
-                        inst.ops.get((*k - 1) as usize)
-                    {
-                        if *x == v {
-                            run_uses = true;
-                        }
-                    }
-                }
-                for k in &t.effects.defs {
-                    if let Some(Operand::Vreg(x)) | Some(Operand::VregHalf(x, _)) =
-                        inst.ops.get((*k - 1) as usize)
-                    {
-                        if *x == v {
-                            run_defs = true;
-                        }
-                    }
-                }
-                for op in &mut inst.ops {
-                    match *op {
-                        Operand::Vreg(x) if x == v => *op = Operand::Vreg(tmp),
-                        Operand::VregHalf(x, h) if x == v => *op = Operand::VregHalf(tmp, h),
-                        _ => {}
-                    }
-                }
-                rewritten.push(inst);
+            let (load, store) = rename_run(machine, &mut run, v, tmp);
+            if load {
+                new_insts.push(slot_inst(load_t, Operand::Vreg(tmp), sp, slot));
             }
-            // A run that writes only part of the register (one half)
-            // must merge with the slot's existing contents.
-            let partial_def = run_defs
-                && rewritten.iter().any(|inst| {
-                    inst.ops
-                        .iter()
-                        .any(|op| matches!(op, Operand::VregHalf(..)))
-                });
-            if run_uses || partial_def {
-                new_insts.push(Inst::new(
-                    load_t,
-                    vec![
-                        Operand::Vreg(tmp),
-                        Operand::Phys(sp),
-                        Operand::Imm(ImmVal::Const(slot)),
-                    ],
-                ));
+            new_insts.extend(run);
+            if store {
+                new_insts.push(slot_inst(store_t, Operand::Vreg(tmp), sp, slot));
             }
-            new_insts.extend(rewritten);
-            if run_defs {
-                new_insts.push(Inst::new(
-                    store_t,
-                    vec![
-                        Operand::Vreg(tmp),
-                        Operand::Phys(sp),
-                        Operand::Imm(ImmVal::Const(slot)),
-                    ],
-                ));
-            }
-            i = j;
         }
         func.blocks[bi].insts = new_insts;
     }
     Ok(())
+}
+
+/// No node: the end of a list, or an unlinked neighbour.
+const NIL: u32 = u32::MAX;
+
+/// The blocks one spill round rewrites, as doubly linked lists over a
+/// single node arena. Each block's list starts at a sentinel node that
+/// holds no instruction, so every instruction node has a predecessor.
+/// Nodes are never reordered: spill loads and stores are linked in
+/// next to their run, and only a pure-copy run's nodes are unlinked.
+#[derive(Default)]
+struct SpillArena {
+    insts: Vec<Option<Inst>>,
+    next: Vec<u32>,
+    prev: Vec<u32>,
+    /// `(block index, sentinel node)` per block moved into the arena.
+    heads: Vec<(usize, u32)>,
+}
+
+impl SpillArena {
+    /// Moves block `bi`'s instructions into the arena as nodes
+    /// `sentinel + 1 ..= sentinel + insts.len()`, in order.
+    fn push_block(&mut self, bi: usize, insts: Vec<Inst>) {
+        let sentinel = self.insts.len() as u32;
+        self.heads.push((bi, sentinel));
+        self.insts.push(None);
+        self.prev.push(NIL);
+        for inst in insts {
+            let id = self.insts.len() as u32;
+            self.next.push(id);
+            self.insts.push(Some(inst));
+            self.prev.push(id - 1);
+        }
+        self.next.push(NIL);
+    }
+
+    fn inst(&self, n: u32) -> &Inst {
+        self.insts[n as usize]
+            .as_ref()
+            .expect("linked node holds an instruction")
+    }
+
+    fn link_before(&mut self, at: u32, inst: Inst) {
+        let id = self.insts.len() as u32;
+        let p = self.prev[at as usize];
+        self.insts.push(Some(inst));
+        self.prev.push(p);
+        self.next.push(at);
+        self.next[p as usize] = id;
+        self.prev[at as usize] = id;
+    }
+
+    fn link_after(&mut self, at: u32, inst: Inst) {
+        let id = self.insts.len() as u32;
+        let n = self.next[at as usize];
+        self.insts.push(Some(inst));
+        self.prev.push(at);
+        self.next.push(n);
+        self.next[at as usize] = id;
+        if n != NIL {
+            self.prev[n as usize] = id;
+        }
+    }
+
+    fn unlink(&mut self, at: u32) {
+        let (p, n) = (self.prev[at as usize], self.next[at as usize]);
+        self.next[p as usize] = n;
+        if n != NIL {
+            self.prev[n as usize] = p;
+        }
+    }
+
+    /// Moves every list back into its block in link order.
+    fn flatten(mut self, func: &mut CodeFunc) {
+        for &(bi, sentinel) in &self.heads {
+            let mut insts = Vec::new();
+            let mut n = self.next[sentinel as usize];
+            while n != NIL {
+                insts.push(
+                    self.insts[n as usize]
+                        .take()
+                        .expect("linked node holds an instruction"),
+                );
+                n = self.next[n as usize];
+            }
+            func.blocks[bi].insts = insts;
+        }
+    }
+}
+
+/// Spills every vreg of `to_spill`, leaving the function exactly as
+/// [`spill_vreg`] called on each in turn would, in time proportional
+/// to the function's size plus the spilled vregs' occurrences.
+///
+/// Blocks mentioning a spilled vreg become linked lists and each
+/// spilled vreg gets its occurrence list in (block, position) order.
+/// The vregs are then spilled in order, each walking only its own
+/// occurrences: the same slot and temporaries minted in the same
+/// order, half-register runs extended along the *current* links (so
+/// spill code inserted for an earlier vreg still ends a run), loads
+/// and stores linked right next to their run. An instruction touching `v1`
+/// then `v2` ends as `L1 L2 I S2 S1`, as sequential spilling gives.
+/// Because nodes never move and removal only replaces a pure-copy run
+/// in place, every later vreg's occurrence list stays in list order;
+/// a node unlinked with an earlier vreg's run is skipped, since the
+/// sequential rewrite would no longer see it either.
+///
+/// Returns the per-vreg work done (see [`AllocResult::spill_visits`]).
+fn spill_round(
+    machine: &Machine,
+    func: &mut CodeFunc,
+    to_spill: &[Vreg],
+) -> Result<usize, CodegenError> {
+    let mut rank = vec![NIL; func.vregs.len()];
+    for (r, v) in to_spill.iter().enumerate() {
+        rank[v.0 as usize] = r as u32;
+    }
+    let mut visits = 0;
+    // (rank, node) for each instruction mentioning a spilled vreg, in
+    // (block, position) order, once per vreg per instruction.
+    let mut occ: Vec<(u32, u32)> = Vec::new();
+    let mut arena = SpillArena::default();
+    for bi in 0..func.blocks.len() {
+        let block_first = occ.len();
+        let base = arena.insts.len() as u32 + 1;
+        for (pos, inst) in func.blocks[bi].insts.iter().enumerate() {
+            let inst_first = occ.len();
+            for op in &inst.ops {
+                if let Operand::Vreg(x) | Operand::VregHalf(x, _) = op {
+                    let r = rank[x.0 as usize];
+                    if r != NIL && occ[inst_first..].iter().all(|&(s, _)| s != r) {
+                        occ.push((r, base + pos as u32));
+                    }
+                }
+            }
+        }
+        if occ.len() > block_first {
+            arena.push_block(bi, std::mem::take(&mut func.blocks[bi].insts));
+        }
+    }
+    // Stable counting sort by rank: one occurrence list per vreg.
+    let mut start = vec![0usize; to_spill.len() + 1];
+    for &(r, _) in &occ {
+        start[r as usize + 1] += 1;
+    }
+    for r in 0..to_spill.len() {
+        start[r + 1] += start[r];
+    }
+    let mut fill = start.clone();
+    let mut order = vec![0u32; occ.len()];
+    for &(r, n) in &occ {
+        order[fill[r as usize]] = n;
+        fill[r as usize] += 1;
+    }
+
+    let mut run: Vec<u32> = Vec::new();
+    let mut run_insts: Vec<Inst> = Vec::new();
+    for (r, &v) in to_spill.iter().enumerate() {
+        let class = func.vreg(v).class;
+        let (load_t, store_t, sp) = match spill_templates(machine, class) {
+            Ok(t) => t,
+            Err(e) => {
+                arena.flatten(func);
+                return Err(e);
+            }
+        };
+        let slot = func.new_spill_slot() as i64;
+        let occs = &order[start[r]..start[r + 1]];
+        let mut k = 0;
+        while k < occs.len() {
+            let first = occs[k];
+            visits += 1;
+            let Some(head) = arena.insts[first as usize].as_ref() else {
+                // Replaced by an earlier vreg's pure-copy run.
+                k += 1;
+                continue;
+            };
+            run.clear();
+            run.push(first);
+            if touches_half(head, v) {
+                let mut n = arena.next[first as usize];
+                while n != NIL {
+                    visits += 1;
+                    if !touches_half(arena.inst(n), v) {
+                        break;
+                    }
+                    run.push(n);
+                    n = arena.next[n as usize];
+                }
+            }
+            // Adjacent nodes touching `v` are adjacent occurrences.
+            debug_assert_eq!(&occs[k..k + run.len()], run.as_slice());
+            k += run.len();
+            run_insts.clear();
+            run_insts.extend(run.iter().map(|&n| {
+                arena.insts[n as usize]
+                    .take()
+                    .expect("linked node holds an instruction")
+            }));
+            if let Some((phys, v_is_source)) = pure_copy_run(machine, &run_insts, v, class) {
+                let t = if v_is_source { load_t } else { store_t };
+                arena.link_before(first, slot_inst(t, Operand::Phys(phys), sp, slot));
+                visits += 1;
+                for &n in &run {
+                    arena.unlink(n);
+                }
+                continue;
+            }
+            let tmp = func.new_vreg(class, VregKind::Local);
+            let (load, store) = rename_run(machine, &mut run_insts, v, tmp);
+            if load {
+                arena.link_before(first, slot_inst(load_t, Operand::Vreg(tmp), sp, slot));
+                visits += 1;
+            }
+            let last = run[run.len() - 1];
+            for (&n, inst) in run.iter().zip(run_insts.drain(..)) {
+                arena.insts[n as usize] = Some(inst);
+            }
+            if store {
+                arena.link_after(last, slot_inst(store_t, Operand::Vreg(tmp), sp, slot));
+                visits += 1;
+            }
+        }
+    }
+    arena.flatten(func);
+    Ok(visits)
 }
 
 #[cfg(test)]
@@ -1327,6 +1568,311 @@ mod tests {
                     "occurs mark of {vr} differs"
                 );
             }
+        }
+    }
+
+    /// TOY plus a `d` class of register pairs over the `r` file, with
+    /// its own spill load/store, and a two-result instruction.
+    const TOY_PAIRS: &str = r#"
+        declare {
+            %reg r[0:7] (int);
+            %reg d[0:3] (double);
+            %equiv r[0] d[0];
+            %resource IE;
+            %def const16 [-32768:32767];
+            %memory m[0:2147483647];
+        }
+        cwvm {
+            %general (int) r;
+            %general (double) d;
+            %allocable r[1:5];
+            %allocable d[1:2];
+            %calleesave r[4:7];
+            %sp r[7] +down; %fp r[6] +down; %retaddr r[1];
+            %hard r[0] 0;
+        }
+        instr {
+            %instr add r, r, r (int) {$1 = $2 + $3;} [IE;] (1,1,0)
+            %instr dm r, r, r, r (int) {$1 = $3 / $4; $2 = $3 % $4;} [IE;] (1,1,0)
+            %instr ld r, r, #const16 (int) {$1 = m[$2+$3];} [IE;] (1,3,0)
+            %instr st r, r, #const16 (int) {m[$2+$3] = $1;} [IE;] (1,1,0)
+            %instr ld.d d, r, #const16 (double) {$1 = m[$2+$3];} [IE;] (1,3,0)
+            %instr st.d d, r, #const16 (double) {m[$2+$3] = $1;} [IE;] (1,1,0)
+            %instr fadd.d d, d, d (double) {$1 = $2 + $3;} [IE;] (1,1,0)
+            %move add2 r, r, r[0] {$1 = $2;} [IE;] (1,1,0)
+        }
+    "#;
+
+    fn toy_pairs() -> Machine {
+        Machine::parse("toy_pairs", TOY_PAIRS).unwrap()
+    }
+
+    fn half(n: u32, h: u8) -> Operand {
+        Operand::VregHalf(Vreg(n), h)
+    }
+
+    fn r(i: u32) -> Operand {
+        Operand::Phys(PhysReg::new(RegClassId(0), i))
+    }
+
+    /// A function over `classes` (one vreg each) with `blocks`.
+    fn func_of(classes: &[u32], blocks: Vec<Vec<Inst>>) -> CodeFunc {
+        let mut f = CodeFunc::new("t");
+        for c in classes {
+            f.new_vreg(RegClassId(*c), VregKind::Local);
+        }
+        f.blocks = blocks
+            .into_iter()
+            .map(|insts| CodeBlock {
+                insts,
+                succs: vec![],
+            })
+            .collect();
+        f
+    }
+
+    /// Spills `to_spill` with [`spill_round`] and, on a clone, with
+    /// [`spill_vreg`] one vreg at a time; the two must agree exactly.
+    /// Returns the rewritten blocks as `mnemonic ops` lines.
+    fn spill_both(m: &Machine, f: &mut CodeFunc, to_spill: &[Vreg]) -> Vec<Vec<String>> {
+        let mut want = f.clone();
+        let want_ok = to_spill
+            .iter()
+            .try_for_each(|v| spill_vreg(m, &mut want, *v))
+            .is_ok();
+        let visits = spill_round(m, f, to_spill);
+        assert_eq!(visits.is_ok(), want_ok);
+        assert_eq!(*f, want, "batched rewrite differs from spill_vreg");
+        f.blocks
+            .iter()
+            .map(|b| {
+                b.insts
+                    .iter()
+                    .map(|i| {
+                        let ops: Vec<String> = i.ops.iter().map(|o| o.to_string()).collect();
+                        format!("{} {}", m.template(i.template).mnemonic, ops.join(","))
+                    })
+                    .collect()
+            })
+            .collect()
+    }
+
+    #[test]
+    fn spill_round_rewrites_every_block_in_vreg_order() {
+        let m = toy_pairs();
+        let sp = r(7);
+        let mut f = func_of(
+            &[0, 0, 0],
+            vec![
+                vec![
+                    inst(&m, "ld", vec![v(0), sp, imm(100)]),
+                    inst(&m, "ld", vec![v(1), sp, imm(104)]),
+                    inst(&m, "add", vec![v(2), v(0), v(1)]),
+                ],
+                vec![inst(&m, "st", vec![v(2), sp, imm(108)])],
+                vec![inst(&m, "add", vec![v(1), v(1), v(0)])],
+            ],
+        );
+        // v1 is spilled first: slot 0 and temporaries t3..t5, then v0:
+        // slot 8 and t6..t8.
+        let got = spill_both(&m, &mut f, &[Vreg(1), Vreg(0)]);
+        assert_eq!(
+            got,
+            [
+                vec![
+                    "ld t6,p0[7],100",
+                    "st t6,p0[7],8",
+                    "ld t3,p0[7],104",
+                    "st t3,p0[7],0",
+                    "ld t4,p0[7],0",
+                    "ld t7,p0[7],8",
+                    "add t2,t7,t4",
+                ],
+                vec!["st t2,p0[7],108"],
+                vec![
+                    "ld t5,p0[7],0",
+                    "ld t8,p0[7],8",
+                    "add t5,t5,t8",
+                    "st t5,p0[7],0",
+                ],
+            ]
+        );
+        assert_eq!(f.spill_size, 16);
+    }
+
+    #[test]
+    fn two_spilled_vregs_in_one_instruction_nest_loads_and_stores() {
+        let m = toy_pairs();
+        let mut f = func_of(
+            &[0, 0],
+            vec![vec![inst(&m, "dm", vec![v(0), v(1), v(0), v(1)])]],
+        );
+        // L0 L1 I S1 S0: the second vreg's load and store sit inside
+        // the first's.
+        let got = spill_both(&m, &mut f, &[Vreg(0), Vreg(1)]);
+        assert_eq!(
+            got,
+            [vec![
+                "ld t2,p0[7],0",
+                "ld t3,p0[7],8",
+                "dm t2,t3,t2,t3",
+                "st t3,p0[7],8",
+                "st t2,p0[7],0",
+            ]]
+        );
+    }
+
+    #[test]
+    fn escape_pair_half_run_spills_as_one_unit() {
+        let m = toy_pairs();
+        let sp = r(7);
+        let mut f = func_of(
+            &[1, 1],
+            vec![vec![
+                inst(&m, "ld", vec![half(0, 0), sp, imm(100)]),
+                inst(&m, "ld", vec![half(0, 1), sp, imm(104)]),
+                inst(&m, "fadd.d", vec![v(1), v(0), v(0)]),
+            ]],
+        );
+        // The two half-writes are one run with one temporary, reloaded
+        // first to merge with the slot; the full-width use is its own.
+        let got = spill_both(&m, &mut f, &[Vreg(0)]);
+        assert_eq!(
+            got,
+            [vec![
+                "ld.d t2,p0[7],0",
+                "ld t2.h0,p0[7],100",
+                "ld t2.h1,p0[7],104",
+                "st.d t2,p0[7],0",
+                "ld.d t3,p0[7],0",
+                "fadd.d t1,t3,t3",
+            ]]
+        );
+    }
+
+    #[test]
+    fn pure_copy_runs_transfer_through_the_slot_both_ways() {
+        let m = toy_pairs();
+        let mut f = func_of(
+            &[0, 1],
+            vec![vec![
+                inst(&m, "add2", vec![half(1, 0), r(2), r(0)]),
+                inst(&m, "add2", vec![half(1, 1), r(3), r(0)]),
+                inst(&m, "add2", vec![v(0), r(2), r(0)]),
+                inst(&m, "add2", vec![r(3), v(0), r(0)]),
+                inst(&m, "add2", vec![r(4), half(1, 0), r(0)]),
+                inst(&m, "add2", vec![r(5), half(1, 1), r(0)]),
+            ]],
+        );
+        // No temporaries: `v := r2` stores r2, `r3 := v` loads r3, and
+        // each half-move pair moves the whole pair register it spans.
+        let got = spill_both(&m, &mut f, &[Vreg(0), Vreg(1)]);
+        assert_eq!(
+            got,
+            [vec![
+                "st.d p1[1],p0[7],8",
+                "st p0[2],p0[7],0",
+                "ld p0[3],p0[7],0",
+                "ld.d p1[2],p0[7],8",
+            ]]
+        );
+        assert_eq!(f.vregs.len(), 2);
+    }
+
+    #[test]
+    fn an_earlier_vregs_spill_code_ends_a_half_run() {
+        let m = toy_pairs();
+        let mut f = func_of(
+            &[0, 1],
+            vec![vec![
+                inst(&m, "add2", vec![half(1, 0), r(2), r(0)]),
+                inst(&m, "add", vec![half(1, 1), v(0), r(3)]),
+            ]],
+        );
+        // Alone, t1's two half-writes form one run. Spilling t0 first
+        // links its reload in between, so t1 gets two runs and two
+        // temporaries.
+        let got = spill_both(&m, &mut f, &[Vreg(0), Vreg(1)]);
+        assert_eq!(
+            got,
+            [vec![
+                "ld.d t3,p0[7],8",
+                "add2 t3.h0,p0[2],p0[0]",
+                "st.d t3,p0[7],8",
+                "ld t2,p0[7],0",
+                "ld.d t4,p0[7],8",
+                "add t4.h1,t2,p0[3]",
+                "st.d t4,p0[7],8",
+            ]]
+        );
+        // The same with a store: t0's def sits in the first half-run
+        // instruction. (The reload of t2 is the partial-def rule, which
+        // counts any half operand in the run, t1's included.)
+        let mut f = func_of(
+            &[0, 1],
+            vec![vec![
+                inst(&m, "add", vec![v(0), half(1, 0), r(2)]),
+                inst(&m, "add2", vec![half(1, 1), r(3), r(0)]),
+            ]],
+        );
+        let got = spill_both(&m, &mut f, &[Vreg(0), Vreg(1)]);
+        assert_eq!(
+            got,
+            [vec![
+                "ld t2,p0[7],0",
+                "ld.d t3,p0[7],8",
+                "add t2,t3.h0,p0[2]",
+                "st t2,p0[7],0",
+                "ld.d t4,p0[7],8",
+                "add2 t4.h1,p0[3],p0[0]",
+                "st.d t4,p0[7],8",
+            ]]
+        );
+    }
+
+    /// Property test: on SplitMix64-random multi-block functions mixing
+    /// full and half operands, pure copies and multi-vreg instructions,
+    /// spilling random vreg lists in one round equals spilling them one
+    /// at a time.
+    #[test]
+    fn spill_round_matches_spill_vreg_on_random_functions() {
+        use crate::dense::splitmix64;
+        let m = toy_pairs();
+        let mut rng = 0x5b11_0f7eu64;
+        let mut pick = |n: u64| (splitmix64(&mut rng) % n) as u32;
+        for _ in 0..200 {
+            // Vregs 0..4 are ints, 4..7 doubles.
+            let classes = [0, 0, 0, 0, 1, 1, 1];
+            let nblocks = 1 + pick(3) as usize;
+            let mut blocks = Vec::new();
+            for _ in 0..nblocks {
+                let mut insts = Vec::new();
+                for _ in 0..2 + pick(12) {
+                    let (a, b, c) = (pick(4), pick(4), pick(4));
+                    let (d, h) = (4 + pick(3), pick(2) as u8);
+                    let p = r(2 + pick(2));
+                    insts.push(match pick(8) {
+                        0 => inst(&m, "add", vec![v(a), v(b), v(c)]),
+                        1 => inst(&m, "dm", vec![v(a), v(b), v(c), v(a)]),
+                        2 => inst(&m, "add2", vec![v(a), p, r(0)]),
+                        3 => inst(&m, "add2", vec![p, v(a), r(0)]),
+                        4 => inst(&m, "add2", vec![half(d, h), p, r(0)]),
+                        5 => inst(&m, "add", vec![v(a), half(d, h), v(b)]),
+                        6 => inst(&m, "fadd.d", vec![v(d), v(d), v(4 + pick(3))]),
+                        _ => inst(&m, "ld", vec![half(d, h), r(7), imm(4)]),
+                    });
+                }
+                blocks.push(insts);
+            }
+            let mut f = func_of(&classes, blocks);
+            let mut to_spill: Vec<Vreg> = Vec::new();
+            for _ in 0..1 + pick(7) {
+                let x = Vreg(pick(7));
+                if !to_spill.contains(&x) {
+                    to_spill.push(x);
+                }
+            }
+            spill_both(&m, &mut f, &to_spill);
         }
     }
 }

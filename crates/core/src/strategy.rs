@@ -179,6 +179,7 @@ fn run_allocate(
     tracer.add(ctx, "ra_graph_nodes", alloc.graph_nodes as i64);
     tracer.add(ctx, "ra_graph_edges", alloc.graph_edges as i64);
     tracer.add(ctx, "ra_rounds", alloc.rounds as i64);
+    tracer.add(ctx, "ra_spill_visits", alloc.spill_visits as i64);
     tracer.add(ctx, "spills", alloc.spills as i64);
     if alloc.spills > 0 {
         tracer.event(
